@@ -28,6 +28,10 @@ Rules (see README "Static analysis"):
       snapshot — the crash the checkpoint format exists to rule out.
       Heuristic: fopen with a "w"/"a" mode string in those layers. The
       rare justified site carries `lint: fopen-ok(<reason>)`.
+  R7  No public API only tests use: every src/**/*.h is #included by some
+      file other than its own .cc — elsewhere in src/, or in bench/,
+      examples/ or servebench/ (tests/ does not count). A header kept on
+      purpose carries `lint: test-only-ok(<reason>)` anywhere in it.
 
 Suppressions are per-line and must name a reason; a bare marker fails.
 Exit status: 0 clean, 1 findings, 2 usage error.
@@ -50,6 +54,9 @@ CHECK_REQUEST_RE = re.compile(r"CAMAL_CHECK\w*\s*\(.*\brequest\b")
 # Matched against the RAW line (the stripper blanks string contents, and
 # the mode lives in a string literal).
 FOPEN_WRITE_RE = re.compile(r"\bfopen\s*\([^;]*\"[wa][b+]*\"")
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"(?P<path>[^"]+)"', re.MULTILINE)
+# Directories whose includes make a src/ header part of the used API.
+API_USER_DIRS = ("src", "bench", "examples", "servebench")
 NAKED_NEW_RE = re.compile(r"(?<![:\w])new\b(?!\s*\()")  # `::new (` = placement
 OPERATOR_NEW_RE = re.compile(r"operator\s+new\b")
 PLACEMENT_NEW_RE = re.compile(r"::\s*new\s*\(")
@@ -176,6 +183,28 @@ def main() -> int:
                         path, lineno, "R4",
                         "thread-safety escape hatch without a "
                         "`lint: tsa-off(reason)` justification")
+
+    includers: dict[str, set[Path]] = {}
+    for top in API_USER_DIRS:
+        for path in (REPO / top).rglob("*"):
+            if path.suffix not in {".h", ".cc", ".cpp", ".inc"}:
+                continue
+            for m in INCLUDE_RE.finditer(path.read_text()):
+                includers.setdefault(m.group("path"), set()).add(path)
+    for path in src_files:
+        if path.suffix != ".h":
+            continue
+        rel = path.relative_to(REPO / "src").as_posix()
+        users = includers.get(rel, set()) - {path.with_suffix(".cc")}
+        if users:
+            continue
+        if not any(m.group("rule") == "test-only" and m.group("reason").strip()
+                   for m in SUPPRESS_RE.finditer(path.read_text())):
+            finding(
+                path, 1, "R7",
+                "header is included only by its own .cc or by tests (delete "
+                "the test-only API, or mark the header "
+                "`lint: test-only-ok(reason)`)")
 
     for path in sorted((REPO / "bench").glob("bench_*.cc")):
         text = path.read_text()

@@ -13,12 +13,10 @@
 namespace camal {
 namespace {
 
-// Thread-local execution state of the two-level pool. `depth` is 0 on
-// threads outside any parallel region, 1 inside an outer shard or a
-// top-level chunk, 2 inside an inner (nested) chunk. `budget` is how many
-// chunks a ParallelFor started from this thread may fan out to; 1 means
-// run inline. At depth 0 the budget is the whole pool (NumThreads()).
-thread_local int tls_depth = 0;
+// Chunk budget of a parallel loop started on this thread. 0 on threads
+// outside any parallel region (the whole pool, NumThreads(), is
+// available); 1 while a pool chunk runs (nested loops run inline); the
+// pinned budget inside a ParallelBudgetScope.
 thread_local int tls_budget = 0;
 
 int ReadThreadsEnv() {
@@ -41,8 +39,6 @@ struct Job {
   int64_t end = 0;
   int64_t chunk = 1;
   int64_t n_chunks = 0;
-  int depth = 1;         // tls_depth while a chunk of this job runs
-  int inner_budget = 1;  // tls_budget while a chunk of this job runs
   const std::function<void(int64_t, int64_t)>* body = nullptr;
   std::atomic<int64_t> next{0};
   std::atomic<int64_t> done{0};
@@ -57,9 +53,10 @@ struct Job {
 class Pool {
  public:
   explicit Pool(int workers) : workers_(workers) {
-    // A pool with no workers would make Run()'s hand-off pointless; the
-    // dispatch guards in ParallelForChunked/ParallelForOuter keep
-    // NumThreads() == 1 processes from ever constructing one.
+    // A pool with no workers would make Run()'s hand-off pointless.
+    // ParallelForChunked only dispatches with a budget >= 2, and budgets
+    // never exceed NumThreads(), so NumThreads() == 1 processes never
+    // construct one.
     CAMAL_CHECK_GE(workers_, 1);
     threads_.reserve(static_cast<size_t>(workers_));
     for (int w = 0; w < workers_; ++w) {
@@ -107,12 +104,10 @@ class Pool {
   void RunChunk(Job* job, int64_t c) {
     const int64_t b = job->begin + c * job->chunk;
     const int64_t e = std::min<int64_t>(b + job->chunk, job->end);
-    const int saved_depth = tls_depth;
+    // Chunks never fan out further: a nested loop runs inline.
     const int saved_budget = tls_budget;
-    tls_depth = job->depth;
-    tls_budget = job->inner_budget;
+    tls_budget = 1;
     (*job->body)(b, e);
-    tls_depth = saved_depth;
     tls_budget = saved_budget;
     // Read n_chunks before the final fetch_add: once `done` reaches the
     // total, the caller may return and destroy the job.
@@ -147,7 +142,7 @@ class Pool {
   int workers_;
   Mutex mu_;
   CondVar cv_;
-  /// FIFO: outer jobs drain before inner ones.
+  /// FIFO: concurrent callers' jobs drain in submission order.
   std::deque<Job*> jobs_ CAMAL_GUARDED_BY(mu_);
   Mutex done_mu_;
   CondVar done_cv_;
@@ -164,25 +159,6 @@ Pool* GetPool() {
   return pool;
 }
 
-// Chunk budget available to a parallel loop started on this thread.
-int CurrentBudget() {
-  return tls_depth == 0 ? NumThreads() : std::max(1, tls_budget);
-}
-
-void RunJob(int64_t begin, int64_t end, int64_t chunk, int depth,
-            int inner_budget,
-            const std::function<void(int64_t, int64_t)>& body) {
-  Job job;
-  job.begin = begin;
-  job.end = end;
-  job.chunk = chunk;
-  job.n_chunks = (end - begin + chunk - 1) / chunk;
-  job.depth = depth;
-  job.inner_budget = inner_budget;
-  job.body = &body;
-  GetPool()->Run(&job);
-}
-
 }  // namespace
 
 int NumThreads() {
@@ -190,50 +166,35 @@ int NumThreads() {
   return threads;
 }
 
-ShardPlan PlanOuterShards(int64_t items, int max_shards) {
-  ShardPlan plan;
-  if (items <= 0) return plan;
-  const int budget = NumThreads();
-  const int cap = max_shards > 0 ? std::min(max_shards, budget) : budget;
-  const int64_t want =
-      std::max<int64_t>(1, std::min<int64_t>(items, cap));
-  plan.chunk = (items + want - 1) / want;
-  // Ceil division can leave fewer chunks than requested shards (items=9,
-  // want=6 -> chunk=2 -> 5 chunks); clamp so shards is exactly the number
-  // of chunks that will run — callers size per-shard state off it.
-  plan.shards = static_cast<int>((items + plan.chunk - 1) / plan.chunk);
-  plan.inner = std::max(1, budget / plan.shards);
-  return plan;
-}
-
-ParallelBudgetScope::ParallelBudgetScope(int budget)
-    : saved_depth_(tls_depth), saved_budget_(tls_budget) {
+ParallelBudgetScope::ParallelBudgetScope(int budget) {
   // Nesting a scope inside a parallel region (or another scope) would
-  // let a shard's body re-widen a budget the planner already narrowed.
-  CAMAL_CHECK_EQ(tls_depth, 0);
+  // let a chunk re-widen the budget its caller already narrowed.
+  CAMAL_CHECK_EQ(tls_budget, 0);
   CAMAL_CHECK_GE(budget, 1);
-  tls_depth = 1;
-  tls_budget = budget;
+  // Clamped so a budget wider than the pool can never dispatch to a pool
+  // that has no workers (CAMAL_THREADS=1).
+  tls_budget = std::min(budget, NumThreads());
 }
 
-ParallelBudgetScope::~ParallelBudgetScope() {
-  tls_depth = saved_depth_;
-  tls_budget = saved_budget_;
-}
+ParallelBudgetScope::~ParallelBudgetScope() { tls_budget = 0; }
 
 void ParallelForChunked(int64_t begin, int64_t end,
                         const std::function<void(int64_t, int64_t)>& body) {
   if (begin >= end) return;
   const int64_t n = end - begin;
-  const int budget = CurrentBudget();
-  if (budget <= 1 || n < 2 || tls_depth >= 2) {
+  const int budget = tls_budget == 0 ? NumThreads() : tls_budget;
+  if (budget <= 1 || n < 2) {
     body(begin, end);
     return;
   }
   const int64_t chunks = std::min<int64_t>(budget, n);
-  const int64_t chunk = (n + chunks - 1) / chunks;
-  // Chunks of this job run one level deeper with no further fan-out.
-  RunJob(begin, end, chunk, tls_depth + 1, /*inner_budget=*/1, body);
+  Job job;
+  job.begin = begin;
+  job.end = end;
+  job.chunk = (n + chunks - 1) / chunks;
+  job.n_chunks = (n + job.chunk - 1) / job.chunk;
+  job.body = &body;
+  GetPool()->Run(&job);
 }
 
 void ParallelFor(int64_t begin, int64_t end,
@@ -241,26 +202,6 @@ void ParallelFor(int64_t begin, int64_t end,
   ParallelForChunked(begin, end, [&body](int64_t b, int64_t e) {
     for (int64_t i = b; i < e; ++i) body(i);
   });
-}
-
-void ParallelForOuter(
-    int64_t begin, int64_t end, int max_shards,
-    const std::function<void(int, int64_t, int64_t)>& body) {
-  if (begin >= end) return;
-  const ShardPlan plan = PlanOuterShards(end - begin, max_shards);
-  if (plan.shards <= 1 || tls_depth > 0) {
-    // Single-shard plan, or nested inside another parallel region: run as
-    // one shard on the calling thread with its current inner budget.
-    body(0, begin, end);
-    return;
-  }
-  // One chunk per shard: the chunk index doubles as a stable shard id, so
-  // at most one chunk per shard id executes at any time.
-  const std::function<void(int64_t, int64_t)> chunk_body =
-      [&body, begin, &plan](int64_t b, int64_t e) {
-        body(static_cast<int>((b - begin) / plan.chunk), b, e);
-      };
-  RunJob(begin, end, plan.chunk, /*depth=*/1, plan.inner, chunk_body);
 }
 
 }  // namespace camal

@@ -6,27 +6,12 @@
 
 namespace camal {
 
-/// Returns the worker count used by the parallel-for pool. Defaults to the
-/// hardware concurrency, clamped to [1, 32]; override with the
-/// CAMAL_THREADS environment variable (CAMAL_THREADS=1 forces serial
-/// execution everywhere).
+/// Returns the worker count used by the parallel-for pool: the
+/// CAMAL_THREADS environment variable when it is set to a positive
+/// integer (clamped to at most 64; CAMAL_THREADS=1 forces serial
+/// execution everywhere), otherwise the hardware concurrency clamped to
+/// [1, 32].
 int NumThreads();
-
-/// How the process-wide thread budget is split between concurrent outer
-/// shards and the inner loops (conv GEMMs) running inside each shard.
-/// Produced by PlanOuterShards and honored by ParallelForOuter.
-struct ShardPlan {
-  int shards = 1;     ///< concurrent outer shards (<= NumThreads()).
-  int inner = 1;      ///< inner-loop chunk budget per shard (>= 1).
-  int64_t chunk = 0;  ///< outer items per shard (ceil; 0 when no items).
-};
-
-/// Splits NumThreads() between \p items outer shards and the inner loops
-/// nested inside them: shards = min(items, max_shards or NumThreads()),
-/// inner = NumThreads() / shards (at least 1). With many items the whole
-/// budget goes to shards and inner loops run inline; with few items the
-/// leftover threads serve each shard's inner GEMMs.
-ShardPlan PlanOuterShards(int64_t items, int max_shards);
 
 /// Runs body(i) for i in [begin, end) across the process-wide thread pool.
 ///
@@ -38,8 +23,7 @@ ShardPlan PlanOuterShards(int64_t items, int max_shards);
 ///
 /// The pool is re-entrant: concurrent top-level calls from different
 /// threads are safe, and a call nested inside a parallel region runs
-/// inline on the calling thread unless that region granted it an inner
-/// budget (see ParallelForOuter) — it never deadlocks and never
+/// inline on the calling thread — it never deadlocks and never
 /// oversubscribes the thread budget.
 void ParallelFor(int64_t begin, int64_t end,
                  const std::function<void(int64_t)>& body);
@@ -50,15 +34,15 @@ void ParallelForChunked(
     int64_t begin, int64_t end,
     const std::function<void(int64_t, int64_t)>& body);
 
-/// Pins the calling thread's nested-parallelism budget for the lifetime of
-/// the scope: ParallelFor/ParallelForChunked calls made from this thread
-/// fan out to at most \p budget chunks (1 = run inline), exactly as if the
-/// thread were executing an outer shard that granted it that inner budget.
+/// Pins the calling thread's parallelism budget for the lifetime of the
+/// scope: ParallelFor/ParallelForChunked calls made from this thread fan
+/// out to at most min(\p budget, NumThreads()) chunks (1 = run inline).
 ///
 /// For long-lived threads that are NOT pool workers — serve::Service's
 /// request workers — which would otherwise count as top-level callers and
 /// fan every nested conv GEMM out to the whole pool, oversubscribing it
-/// W-fold when W workers scan concurrently. Scopes must not be nested.
+/// W-fold when W workers scan concurrently. Scopes must not be nested, nor
+/// opened inside a parallel region.
 class ParallelBudgetScope {
  public:
   explicit ParallelBudgetScope(int budget);
@@ -66,27 +50,7 @@ class ParallelBudgetScope {
 
   ParallelBudgetScope(const ParallelBudgetScope&) = delete;
   ParallelBudgetScope& operator=(const ParallelBudgetScope&) = delete;
-
- private:
-  int saved_depth_;
-  int saved_budget_;
 };
-
-/// Outer-level sharded loop for serving: cuts [begin, end) into
-/// PlanOuterShards(end - begin, max_shards).shards contiguous shards and
-/// runs body(shard, shard_begin, shard_end) with at most `shards` shards
-/// executing concurrently. `shard` is a stable index in [0, shards) — at
-/// most one chunk per shard index runs at any time, so it can select
-/// per-shard state (model replicas, scratch buffers).
-///
-/// Inner ParallelFor/ParallelForChunked calls made from inside `body`
-/// receive the plan's per-shard inner budget: they fan out to
-/// NumThreads() / shards chunks when threads outnumber shards, and run
-/// inline otherwise. Called from inside another parallel region (or with
-/// a single-shard plan) the loop runs inline as one shard.
-void ParallelForOuter(
-    int64_t begin, int64_t end, int max_shards,
-    const std::function<void(int, int64_t, int64_t)>& body);
 
 }  // namespace camal
 

@@ -9,8 +9,8 @@ namespace camal {
 
 /// Deterministic pseudo-random number generator used across the library.
 ///
-/// Every stochastic component (weight init, data simulation, shuffling,
-/// dropout) takes an explicit Rng or seed so runs are reproducible. The
+/// Every stochastic component (weight init, data simulation, shuffling)
+/// takes an explicit Rng or seed so runs are reproducible. The
 /// engine is std::mt19937_64 seeded explicitly; copying an Rng forks the
 /// stream state.
 class Rng {

@@ -63,7 +63,7 @@ class CamalLocalizer {
   /// Per-member CAM scratch reused across Localize calls (a household scan
   /// localizes hundreds of equally-shaped batches; reallocating every CAM
   /// per batch dominated small-batch scans). One localizer instance is
-  /// therefore single-threaded state — sharded serving gives each shard
+  /// therefore single-threaded state — serve::Service gives each worker
   /// its own localizer over its own ensemble replica.
   std::vector<nn::Tensor> cam_scratch_;
 };

@@ -4,6 +4,8 @@
 #include "common/status.h"
 #include "data/time_series.h"
 
+// lint: test-only-ok(paper §V-B resampling step; data/property tests cover it)
+
 namespace camal::data {
 
 /// Resamples \p series to \p target_interval_seconds by averaging the power

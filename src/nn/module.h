@@ -61,7 +61,7 @@ class Module {
   /// touched by optimizers.
   virtual void CollectBuffers(std::vector<Tensor*>* out) { (void)out; }
 
-  /// Switches train/eval behaviour (BatchNorm statistics, Dropout).
+  /// Switches train/eval behaviour (BatchNorm statistics).
   virtual void SetTraining(bool training) { training_ = training; }
 
   /// True when in training mode (the default).

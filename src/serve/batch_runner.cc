@@ -364,9 +364,7 @@ ScanResult BatchRunner::AppendScan(SessionScanState* state,
 }
 
 ScanResult BatchRunner::Scan(data::SeriesView aggregate_watts) {
-  // A lone scan is the one-series coalesced scan: MultiWindowStream over a
-  // single series batches exactly like WindowStream, so this is the same
-  // computation Scan always did.
+  // A lone scan is the one-series coalesced scan.
   std::vector<ScanResult> results = ScanMany({aggregate_watts});
   return std::move(results.front());
 }

@@ -74,7 +74,7 @@ struct SessionScanState {
 };
 
 /// End-to-end batched serving for one appliance: slices a household
-/// aggregate into overlapping windows (WindowStream), pushes them through
+/// aggregate into overlapping windows (MultiWindowStream), pushes them through
 /// the CamAL localization pipeline batch by batch via the inference-only
 /// forward path, and stitches per-window detections and activation masks
 /// back into per-timestamp series. Overlapping windows vote: detection is
@@ -101,8 +101,8 @@ class BatchRunner {
   /// with zeros (the stream's missing-value fill) to a single window and
   /// scanned, so even short households get real predictions; empty series
   /// return all-zero results. Not thread-safe: a runner owns reusable scan
-  /// scratch, so concurrent scans need one runner each (see
-  /// ShardedScanner).
+  /// scratch, so concurrent scans need one runner each (serve::Service
+  /// gives every worker its own).
   ScanResult Scan(data::SeriesView aggregate_watts);
 
   /// Coalesced scan of several series through shared GEMM batches: one

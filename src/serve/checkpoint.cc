@@ -240,6 +240,14 @@ Result<std::vector<SessionSnapshot>> ReadSessionCheckpoint(
         snapshot.state.grid_windows < 0) {
       return reader.Corrupt("negative count");
     }
+    // Every accumulator holds one entry per committed reading; a shorter
+    // one would silently drop committed votes on the next append.
+    const size_t len = snapshot.state.series.size();
+    if (snapshot.state.prob_sum.size() != len ||
+        snapshot.state.cover.size() != len ||
+        snapshot.state.on_votes.size() != len) {
+      return reader.Corrupt("accumulator length differs from series length");
+    }
     sessions.push_back(std::move(snapshot));
   }
   if (!reader.exhausted()) {

@@ -68,7 +68,8 @@ Status WriteSessionCheckpoint(const std::string& path,
 
 /// Reads and fully validates a checkpoint. Any malformed input — missing
 /// file, truncated header, torn payload, CRC mismatch, version skew,
-/// corrupt record — returns a Status; a caller degrades to fresh
+/// corrupt record (including accumulators whose length differs from the
+/// series length) — returns a Status; a caller degrades to fresh
 /// sessions instead of crashing or trusting bad state.
 Result<std::vector<SessionSnapshot>> ReadSessionCheckpoint(
     const std::string& path);

@@ -69,19 +69,6 @@ Status RequestQueue::Push(QueuedScan* task, bool* rejected_full,
   return Status::OK();
 }
 
-bool RequestQueue::Pop(QueuedScan* out) {
-  CAMAL_CHECK(out != nullptr);
-  MutexLock lock(&mu_);
-  ++waiting_;
-  while (!closed_ && tasks_.empty()) cv_.Wait(&mu_);
-  --waiting_;
-  if (tasks_.empty()) return false;  // closed and drained
-  const size_t head = HeadIndexLocked();
-  *out = std::move(tasks_[head]);
-  tasks_.erase(tasks_.begin() + static_cast<std::ptrdiff_t>(head));
-  return true;
-}
-
 bool RequestQueue::PopGroup(QueuedScan* first, std::vector<QueuedScan>* extras,
                             int64_t extra_budget) {
   CAMAL_CHECK(first != nullptr);

@@ -40,8 +40,8 @@ const char* RequestPriorityName(RequestPriority priority);
 ///  - `series`: BORROWED. A non-owning view; its backing storage (a
 ///    caller's vector, a mapped ColumnStore channel) must stay alive
 ///    until the request's future resolves. Right for batch clients that
-///    own a cohort for the whole call (ShardedScanner) and for serving
-///    straight off a mapped store with zero copies.
+///    own a cohort until every future resolves and for serving straight
+///    off a mapped store with zero copies.
 ///  - `owned_series`: OWNED. The request carries the buffer itself, so
 ///    the caller may return immediately — the fire-and-forget shape the
 ///    borrowed view would make a lifetime footgun. Session appends always
@@ -113,13 +113,13 @@ struct QueuedScan {
 /// Push never blocks — when the queue is at capacity (backpressure) or
 /// closed, it returns kFailedPrecondition and leaves the caller's task
 /// untouched, so the caller still owns the promise and can fail it.
-/// Pop blocks until a task arrives or the queue is closed *and* drained:
-/// Close stops admission immediately but lets consumers finish every task
-/// admitted before it (graceful shutdown).
+/// PopGroup blocks until a task arrives or the queue is closed *and*
+/// drained: Close stops admission immediately but lets consumers finish
+/// every task admitted before it (graceful shutdown).
 class RequestQueue {
  public:
   /// \p capacity bounds the number of waiting tasks; <= 0 means unbounded
-  /// (used by batch clients like ShardedScanner that pre-size their work).
+  /// (for batch clients that pre-size their work).
   explicit RequestQueue(int64_t capacity);
 
   /// Moves \p *task into the queue. On failure (full or closed) \p *task
@@ -135,17 +135,12 @@ class RequestQueue {
   Status Push(QueuedScan* task, bool* rejected_full = nullptr,
               bool force = false);
 
-  /// Blocks until a task is available (returns true) or the queue is
-  /// closed and fully drained (returns false). The task taken is the
-  /// earliest-admitted one of the most urgent RequestPriority present
-  /// (FIFO within a class; all-kNormal traffic behaves exactly like the
-  /// plain FIFO this used to be).
-  bool Pop(QueuedScan* out);
-
   /// Batch pop with appliance affinity, the queue side of cross-request
-  /// window coalescing: blocks for the head task like Pop (same priority-
-  /// aware head selection), then — without blocking — drains more waiting
-  /// tasks for the SAME appliance AND SAME priority into \p extras
+  /// window coalescing: blocks until a head task is available, taking the
+  /// earliest-admitted one of the most urgent RequestPriority present
+  /// (FIFO within a class; all-kNormal traffic behaves exactly like a
+  /// plain FIFO), then — without blocking — drains more waiting tasks
+  /// for the SAME appliance AND SAME priority into \p extras
   /// (cleared first), skipping over everything else, whose relative order
   /// is preserved. Drained tasks come out in admission order. Grouping
   /// never crosses priority classes: a low request must not ride a high
@@ -153,11 +148,11 @@ class RequestQueue {
   ///
   /// The drain budget is adaptive (ROADMAP adaptive-coalescing step 2),
   /// never more than \p extra_budget: with idle sibling consumers blocked
-  /// in Pop/PopGroup, a fixed budget would batch work one request deep
-  /// while a whole worker sat idle, so the drain leaves at least one task
+  /// in PopGroup, a fixed budget would batch work one request deep while
+  /// a whole worker sat idle, so the drain leaves at least one task
   /// behind per waiting consumer — see AdaptiveDrainBudget. Purely a
   /// batching policy: results are bitwise-identical whichever worker or
-  /// group serves a request. extra_budget <= 0 makes this exactly Pop.
+  /// group serves a request. extra_budget <= 0 pops the head task alone.
   /// Returns false only when closed and fully drained.
   bool PopGroup(QueuedScan* first, std::vector<QueuedScan>* extras,
                 int64_t extra_budget);
@@ -177,12 +172,12 @@ class RequestQueue {
   int64_t capacity() const { return capacity_; }
   bool closed() const;
 
-  /// Consumers currently blocked inside Pop/PopGroup waiting for work —
+  /// Consumers currently blocked inside PopGroup waiting for work —
   /// the idle-worker signal the adaptive drain budget is gated on.
   int64_t waiting_consumers() const;
 
  private:
-  /// Index of the task Pop/PopGroup takes: earliest of the most urgent
+  /// Index of the task PopGroup takes first: earliest of the most urgent
   /// priority class present. Caller holds mu_; tasks_ must be non-empty.
   size_t HeadIndexLocked() const CAMAL_REQUIRES(mu_);
 
@@ -191,7 +186,7 @@ class RequestQueue {
   CondVar cv_;
   std::deque<QueuedScan> tasks_ CAMAL_GUARDED_BY(mu_);
   bool closed_ CAMAL_GUARDED_BY(mu_) = false;
-  /// Consumers blocked in Pop/PopGroup.
+  /// Consumers blocked in PopGroup.
   int64_t waiting_ CAMAL_GUARDED_BY(mu_) = 0;
 };
 

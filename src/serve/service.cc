@@ -8,14 +8,13 @@
 
 #include "common/fault_injection.h"
 #include "common/parallel_for.h"
+#include "data/window.h"
 #include "serve/checkpoint.h"
 
 namespace camal::serve {
 
 Service::Service(ServiceOptions options)
-    : options_(std::move(options)),
-      coalesce_budget_(options_.coalesce_budget),
-      queue_(options_.queue_capacity) {
+    : options_(std::move(options)), queue_(options_.queue_capacity) {
   CAMAL_CHECK_GE(options_.workers, 0);
 }
 
@@ -61,8 +60,8 @@ Status Service::Start() {
   }
   const int workers =
       options_.workers > 0 ? options_.workers : NumThreads();
-  // Same budget split as PlanOuterShards: whatever the worker fan-out does
-  // not consume serves the conv GEMMs inside each worker's scans.
+  // Whatever the worker fan-out does not consume serves the conv GEMMs
+  // inside each worker's scans.
   inner_budget_ = std::max(1, NumThreads() / workers);
 
   // Replicate on this thread, before any request runs: Clone reads state
@@ -108,11 +107,9 @@ void Service::WorkerLoop(Worker* worker) {
   ParallelBudgetScope budget(inner_budget_);
   QueuedScan first;
   std::vector<QueuedScan> extras;
-  // The coalescing budget re-reads per dequeue: it is runtime-adjustable
-  // (see set_coalesce_budget) and only shapes batching, never results.
-  while (queue_.PopGroup(
-      &first, &extras,
-      static_cast<int64_t>(coalesce_budget_.load()) - 1)) {
+  const int64_t extra_budget =
+      static_cast<int64_t>(options_.coalesce_budget) - 1;
+  while (queue_.PopGroup(&first, &extras, extra_budget)) {
     BatchRunner* runner = worker->runners.at(first.request.appliance).get();
     ServeGroup(runner, &first, &extras);
     // Crash safety rides the worker loop like idle eviction rides
@@ -628,10 +625,16 @@ Result<int64_t> Service::RestoreSessions(const std::string& dir) {
   int64_t restored = 0;
   for (SessionSnapshot& snapshot : snapshots) {
     // Degrade per record, never reject the whole restore: an appliance
-    // this deployment no longer registers, or an id a live session
-    // already owns (the live session wins — it is newer by definition),
-    // skips the record.
-    if (appliances_.find(snapshot.appliance) == appliances_.end()) continue;
+    // this deployment no longer registers, a grid-window count that
+    // disagrees with the appliance's window plan (the appends would skip
+    // or re-vote grid windows), or an id a live session already owns (the
+    // live session wins — it is newer by definition) skips the record.
+    const auto appliance = appliances_.find(snapshot.appliance);
+    if (appliance == appliances_.end()) continue;
+    const WindowStreamOptions& stream = appliance->second.runner.stream;
+    const int64_t grid = data::GridWindowCount(
+        snapshot.state.readings(), stream.window_length, stream.stride);
+    if (snapshot.state.grid_windows != grid) continue;
     SessionOptions options;
     options.household_id = snapshot.id;
     options.max_pending_appends = snapshot.max_pending_appends;
@@ -710,7 +713,7 @@ void Service::Shutdown() {
   }
   state_.store(State::kStopped);
   // Closing the queue wakes every worker; they drain the admitted backlog
-  // first (Pop only returns false once closed AND empty), then exit.
+  // first (PopGroup only returns false once closed AND empty), then exit.
   queue_.Close();
   for (auto& worker : workers_) {
     if (worker->thread.joinable()) worker->thread.join();

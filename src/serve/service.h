@@ -49,7 +49,7 @@ struct ServiceOptions {
   /// Admission-queue bound: a Submit that finds this many requests already
   /// waiting is rejected with kFailedPrecondition (backpressure). <= 0
   /// means unbounded — only sensible for batch clients that pre-size their
-  /// work, like ShardedScanner.
+  /// work, like a whole-cohort scan that submits every household at once.
   int64_t queue_capacity = 256;
   /// Cross-request window coalescing: a worker that dequeues a request
   /// also drains up to coalesce_budget - 1 more waiting requests for the
@@ -285,7 +285,8 @@ class Service {
   /// Degrades, never crashes: a missing file restores 0 (a fresh boot
   /// is not an error); a corrupt, torn, or version-skewed file returns
   /// the reader's Status and the service keeps serving; records whose
-  /// appliance is not registered, or whose id collides with a live
+  /// appliance is not registered, whose grid-window count disagrees with
+  /// that appliance's window plan, or whose id collides with a live
   /// session (the live one wins), are skipped. Requires a running
   /// service (kFailedPrecondition otherwise).
   Result<int64_t> RestoreSessions(const std::string& dir);
@@ -323,15 +324,6 @@ class Service {
   /// Nested conv-GEMM chunk budget each worker runs with
   /// (NumThreads() / workers, at least 1). Meaningful after Start.
   int inner_budget() const { return inner_budget_; }
-
-  /// The live cross-request coalescing budget (initially
-  /// options().coalesce_budget). Runtime-adjustable: set_coalesce_budget
-  /// takes effect at each worker's next dequeue — safe at any time from
-  /// any thread, because coalescing is a batching policy, not a results
-  /// policy (coalesced scans are bitwise-identical to lone scans).
-  /// <= 1 disables draining. ShardedScanner re-pins this per cohort.
-  int coalesce_budget() const { return coalesce_budget_.load(); }
-  void set_coalesce_budget(int budget) { coalesce_budget_.store(budget); }
 
   ServiceStats stats() const;
 
@@ -394,8 +386,6 @@ class Service {
   std::future<Result<ScanResult>> Reject(Status status);
 
   ServiceOptions options_;
-  /// Live coalescing budget; see coalesce_budget().
-  std::atomic<int> coalesce_budget_;
   /// Written under lifecycle_mu_ before Start publishes kRunning, frozen
   /// (read lock-free by Submit and the workers) after — a publish-then-
   /// freeze field, deliberately NOT CAMAL_GUARDED_BY: annotating it would

@@ -17,21 +17,9 @@ void CheckOptions(const WindowStreamOptions& options) {
   CAMAL_CHECK_GT(options.input_scale, 0.0f);
 }
 
-/// Copies the window at \p off into \p dst, zero-filling missing readings
-/// and dividing by the input scale — the one row-fill used by both the
-/// single- and multi-series streams, so a window's model input is
-/// bit-for-bit identical however it is batched.
-void FillWindowRow(const float* series, int64_t off, int64_t l,
-                   float inv_scale, float* dst) {
-  for (int64_t t = 0; t < l; ++t) {
-    const float v = series[off + t];
-    dst[t] = data::IsMissing(v) ? 0.0f : v * inv_scale;
-  }
-}
-
 /// Reuses the caller's tensor when its shape already matches (b, 1, l);
 /// otherwise swaps in fresh uninitialized storage (every element is
-/// written by the fill loops).
+/// written by the fill loop).
 void EnsureBatchShape(nn::Tensor* inputs, int64_t b, int64_t l) {
   if (inputs->ndim() != 3 || inputs->dim(0) != b || inputs->dim(1) != 1 ||
       inputs->dim(2) != l) {
@@ -62,43 +50,12 @@ std::vector<int64_t> ComputeWindowOffsets(
   return offsets;
 }
 
-WindowStream::WindowStream(data::SeriesView series,
-                           WindowStreamOptions options)
-    : series_(series), options_(options) {
-  CheckOptions(options_);
-  offsets_ = ComputeWindowOffsets(series_.size(), options_);
-}
-
-int64_t WindowStream::NextBatch(nn::Tensor* inputs,
-                                std::vector<int64_t>* batch_offsets) {
-  CAMAL_CHECK(inputs != nullptr);
-  CAMAL_CHECK(batch_offsets != nullptr);
-  batch_offsets->clear();
-  const int64_t remaining = NumWindows() - static_cast<int64_t>(next_);
-  const int64_t b = std::min<int64_t>(options_.batch_size, remaining);
-  if (b <= 0) return 0;
-  const int64_t l = options_.window_length;
-  EnsureBatchShape(inputs, b, l);
-  const float inv_scale = 1.0f / options_.input_scale;
-  const float* series = series_.data();
-  for (int64_t i = 0; i < b; ++i) {
-    const int64_t off = offsets_[next_++];
-    batch_offsets->push_back(off);
-    FillWindowRow(series, off, l, inv_scale, inputs->data() + i * l);
-  }
-  return b;
-}
-
 MultiWindowStream::MultiWindowStream(std::vector<data::SeriesView> series,
                                      WindowStreamOptions options)
     : series_(std::move(series)), options_(options) {
   CheckOptions(options_);
-  windows_per_series_.reserve(series_.size());
   for (size_t s = 0; s < series_.size(); ++s) {
-    const std::vector<int64_t> offsets =
-        ComputeWindowOffsets(series_[s].size(), options_);
-    windows_per_series_.push_back(static_cast<int64_t>(offsets.size()));
-    for (int64_t off : offsets) {
+    for (int64_t off : ComputeWindowOffsets(series_[s].size(), options_)) {
       refs_.push_back(WindowRef{static_cast<int32_t>(s), off});
     }
   }
@@ -109,7 +66,6 @@ MultiWindowStream::MultiWindowStream(std::vector<data::SeriesView> series,
                                      std::vector<WindowRef> refs)
     : series_(std::move(series)), options_(options), refs_(std::move(refs)) {
   CheckOptions(options_);
-  windows_per_series_.assign(series_.size(), 0);
   const int64_t l = options_.window_length;
   for (const WindowRef& ref : refs_) {
     CAMAL_CHECK_GE(ref.series, 0);
@@ -117,7 +73,6 @@ MultiWindowStream::MultiWindowStream(std::vector<data::SeriesView> series,
     CAMAL_CHECK_GE(ref.offset, 0);
     CAMAL_CHECK_LE(ref.offset + l,
                    series_[static_cast<size_t>(ref.series)].size());
-    ++windows_per_series_[static_cast<size_t>(ref.series)];
   }
 }
 
@@ -135,8 +90,14 @@ int64_t MultiWindowStream::NextBatch(nn::Tensor* inputs,
   for (int64_t i = 0; i < b; ++i) {
     const WindowRef ref = refs_[next_++];
     refs->push_back(ref);
-    FillWindowRow(series_[static_cast<size_t>(ref.series)].data(), ref.offset,
-                  l, inv_scale, inputs->data() + i * l);
+    // Missing readings are zero-filled: serving cannot drop windows the
+    // way training does.
+    const data::SeriesView& view = series_[static_cast<size_t>(ref.series)];
+    const float* src = view.data() + ref.offset;
+    float* dst = inputs->data() + i * l;
+    for (int64_t t = 0; t < l; ++t) {
+      dst[t] = data::IsMissing(src[t]) ? 0.0f : src[t] * inv_scale;
+    }
   }
   return b;
 }

@@ -31,47 +31,6 @@ struct WindowStreamOptions {
 std::vector<int64_t> ComputeWindowOffsets(int64_t len,
                                           const WindowStreamOptions& options);
 
-/// Streams a household's aggregate series as batches of overlapping,
-/// scaled windows — the feeder of the batched inference runtime.
-///
-/// Offsets advance by `stride`; a final tail window aligned to the series
-/// end is added when the regular grid would leave trailing samples
-/// uncovered. Series shorter than one window yield nothing. Missing
-/// readings (NaN) are zero-filled — serving cannot drop windows the way
-/// training does.
-class WindowStream {
- public:
-  /// \p series is a non-owning view; its backing storage (a vector, a
-  /// mapped ColumnStore channel, ...) must outlive the stream.
-  WindowStream(data::SeriesView series, WindowStreamOptions options);
-
-  /// Total windows this stream will emit.
-  int64_t NumWindows() const {
-    return static_cast<int64_t>(offsets_.size());
-  }
-
-  /// All window start offsets, in emission order.
-  const std::vector<int64_t>& offsets() const { return offsets_; }
-
-  /// Fills \p inputs with the next (B, 1, L) batch (B <= batch_size) and
-  /// \p batch_offsets with the B series offsets. Returns B; 0 when
-  /// exhausted. \p inputs is reused in place when it already has the
-  /// batch's shape (only the final short batch reallocates), so callers
-  /// should pass the same tensor every iteration.
-  int64_t NextBatch(nn::Tensor* inputs, std::vector<int64_t>* batch_offsets);
-
-  /// Rewinds to the first window.
-  void Reset() { next_ = 0; }
-
-  const WindowStreamOptions& options() const { return options_; }
-
- private:
-  data::SeriesView series_;
-  WindowStreamOptions options_;
-  std::vector<int64_t> offsets_;
-  size_t next_ = 0;
-};
-
 /// Identifies one window inside a coalesced multi-series batch: which
 /// series it was cut from and where it starts there.
 struct WindowRef {
@@ -79,14 +38,16 @@ struct WindowRef {
   int64_t offset = 0;  ///< window start offset within that series.
 };
 
-/// Multi-series counterpart of WindowStream: emits the windows of several
-/// series as one stream of shared batches, so a single forward pass can
-/// carry windows cut from different households. Windows are ordered
-/// series-by-series (series 0's windows first, then series 1's, ...), each
-/// series windowed exactly as WindowStream would window it alone — same
-/// offsets, same zero-fill, same scaling — so per-window model inputs are
-/// bit-for-bit what an uncoalesced scan feeds. Batches simply keep filling
-/// across series boundaries instead of flushing short.
+/// Streams household aggregate series as batches of overlapping, scaled
+/// windows — the feeder of the batched inference runtime. Emits the
+/// windows of several series as one stream of shared batches, so a single
+/// forward pass can carry windows cut from different households. Windows
+/// are ordered series-by-series (series 0's windows first, then series
+/// 1's, ...), each series windowed by ComputeWindowOffsets alone — same
+/// offsets, same zero-fill of missing (NaN) readings, same scaling — so
+/// per-window model inputs are bit-for-bit what an uncoalesced scan
+/// feeds. Batches simply keep filling across series boundaries instead of
+/// flushing short. Series shorter than one window contribute nothing.
 class MultiWindowStream {
  public:
   /// \p series entries are non-owning views whose backing storage must
@@ -106,26 +67,17 @@ class MultiWindowStream {
   /// Total windows across every series.
   int64_t NumWindows() const { return static_cast<int64_t>(refs_.size()); }
 
-  /// Windows contributed by series \p s.
-  int64_t NumWindowsOf(int32_t s) const {
-    return windows_per_series_[static_cast<size_t>(s)];
-  }
-
   /// Fills \p inputs with the next (B, 1, L) batch (B <= batch_size) and
   /// \p refs with the B (series, offset) pairs. Returns B; 0 when
-  /// exhausted. Same tensor-reuse contract as WindowStream::NextBatch.
+  /// exhausted. \p inputs is reused in place when it already has the
+  /// batch's shape (only the final short batch reallocates), so callers
+  /// should pass the same tensor every iteration.
   int64_t NextBatch(nn::Tensor* inputs, std::vector<WindowRef>* refs);
-
-  /// Rewinds to the first window.
-  void Reset() { next_ = 0; }
-
-  const WindowStreamOptions& options() const { return options_; }
 
  private:
   std::vector<data::SeriesView> series_;
   WindowStreamOptions options_;
   std::vector<WindowRef> refs_;  ///< all windows, series-major order.
-  std::vector<int64_t> windows_per_series_;
   size_t next_ = 0;
 };
 

@@ -16,6 +16,7 @@
 #include "common/rng.h"
 #include "core/ensemble.h"
 #include "core/resnet.h"
+#include "data/window.h"
 #include "serve/batch_runner.h"
 #include "serve/checkpoint.h"
 #include "serve/service.h"
@@ -121,7 +122,9 @@ serve::SessionSnapshot MakeSnapshot(const std::string& id, uint64_t seed,
   snapshot.id = id;
   snapshot.appliance = "fridge";
   snapshot.max_pending_appends = 16;
-  snapshot.state.grid_windows = readings / 4;
+  // Consistent with the window-16, stride-8 plan of the SmallRunner the
+  // service tests register, so RestoreSessions accepts the record.
+  snapshot.state.grid_windows = data::GridWindowCount(readings, 16, 8);
   for (int64_t i = 0; i < readings; ++i) {
     snapshot.state.series.push_back(
         static_cast<float>(rng.Uniform(0.0, 3000.0)));
@@ -271,6 +274,25 @@ TEST(CheckpointFormatTest, FailedWritePreservesThePreviousSnapshot) {
   ASSERT_TRUE(restored.ok());
   ASSERT_EQ(restored.value().size(), 1u);
   EXPECT_EQ(restored.value()[0].id, "old");
+}
+
+TEST(CheckpointFormatTest, AccumulatorLengthMismatchIsRejected) {
+  // A CRC-valid record whose accumulators are shorter than its series
+  // would resume with committed votes silently dropped; the reader must
+  // refuse it, whichever accumulator is short.
+  const std::string path = TestPath("short_accumulator.ckpt");
+  for (int which = 0; which < 3; ++which) {
+    serve::SessionSnapshot snapshot = MakeSnapshot("h", 47, 100);
+    if (which == 0) snapshot.state.prob_sum.resize(60);
+    if (which == 1) snapshot.state.cover.resize(60);
+    if (which == 2) snapshot.state.on_votes.resize(60);
+    ASSERT_TRUE(serve::WriteSessionCheckpoint(path, {snapshot}).ok());
+    auto restored = serve::ReadSessionCheckpoint(path);
+    ASSERT_FALSE(restored.ok()) << "accumulator " << which;
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(restored.status().ToString().find("accumulator length"),
+              std::string::npos);
+  }
 }
 
 // ---------------------------------------------------------------------
@@ -441,6 +463,61 @@ TEST(ServiceCheckpointTest, RestoreDegradesGracefully) {
 
   // Restoring from a directory with no checkpoint is a fresh boot.
   EXPECT_EQ(service.RestoreSessions(TestDir("restore_fresh")).value(), 0);
+}
+
+TEST(ServiceCheckpointTest, RestoreSkipsGridWindowMismatch) {
+  // A record whose grid_windows disagrees with its appliance's window
+  // plan would make later appends skip (or re-vote) grid windows, so
+  // restore skips it like an unregistered appliance. Its sibling with
+  // consistent state still restores and resumes bitwise-identically.
+  const std::string dir = TestDir("restore_grid_mismatch");
+  core::CamalEnsemble ensemble = RandomEnsemble(93);
+  const serve::BatchRunnerOptions runner = SmallRunner(16, 8, 4, 600.0f);
+  Rng rng(94);
+  std::vector<float> series = RandomChunk(&rng, 100);
+  {
+    serve::Service service;
+    ASSERT_TRUE(service.RegisterAppliance("fridge", &ensemble, runner).ok());
+    ASSERT_TRUE(service.Start().ok());
+    for (const char* id : {"house-good", "house-bad"}) {
+      serve::SessionOptions session_opt;
+      session_opt.household_id = id;
+      auto session = service.CreateSession("fridge", session_opt);
+      ASSERT_TRUE(session.ok());
+      ASSERT_TRUE(session.value()->AppendReadings(series).get().ok());
+    }
+    ASSERT_TRUE(service.CheckpointSessions(dir).ok());
+  }
+  const std::string path = serve::Service::CheckpointFile(dir);
+  auto snapshots = serve::ReadSessionCheckpoint(path);
+  ASSERT_TRUE(snapshots.ok()) << snapshots.status().ToString();
+  ASSERT_EQ(snapshots.value().size(), 2u);
+  for (serve::SessionSnapshot& snapshot : snapshots.value()) {
+    ASSERT_EQ(snapshot.state.grid_windows, data::GridWindowCount(100, 16, 8));
+    if (snapshot.id == "house-bad") snapshot.state.grid_windows = 1000;
+  }
+  ASSERT_TRUE(serve::WriteSessionCheckpoint(path, snapshots.value()).ok());
+
+  serve::Service service;
+  ASSERT_TRUE(service.RegisterAppliance("fridge", &ensemble, runner).ok());
+  ASSERT_TRUE(service.Start().ok());
+  auto restored = service.RestoreSessions(dir);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored.value(), 1);
+  EXPECT_EQ(service.stats().sessions_restored, 1);
+  EXPECT_EQ(service.GetSession("house-bad").status().code(),
+            StatusCode::kNotFound);
+
+  auto good = service.GetSession("house-good");
+  ASSERT_TRUE(good.ok());
+  std::vector<float> tail = RandomChunk(&rng, 20);
+  series.insert(series.end(), tail.begin(), tail.end());
+  Result<serve::ScanResult> appended =
+      good.value()->AppendReadings(std::move(tail)).get();
+  ASSERT_TRUE(appended.ok());
+  Result<serve::ScanResult> reference = service.Submit("fridge", series).get();
+  ASSERT_TRUE(reference.ok());
+  ExpectBitwiseEqual(appended.value(), reference.value(), "house-good");
 }
 
 TEST(ServiceCheckpointTest, CorruptCheckpointKeepsTheServiceServing) {

@@ -227,87 +227,28 @@ TEST(ParallelForTest, ConcurrentTopLevelCallsAreSafe) {
   for (const auto& t : totals) EXPECT_EQ(t.load(), kReps * kIters);
 }
 
-TEST(ParallelForTest, PlanOuterShardsSplitsBudget) {
-  const int threads = NumThreads();
-  const ShardPlan many = PlanOuterShards(1000, 0);
-  EXPECT_EQ(many.shards, threads);  // plenty of items: all budget outer
-  EXPECT_EQ(many.inner, 1);
-  const ShardPlan capped = PlanOuterShards(1000, 2);
-  EXPECT_EQ(capped.shards, std::min(2, threads));
-  EXPECT_EQ(capped.inner, std::max(1, threads / capped.shards));
-  const ShardPlan single = PlanOuterShards(1, 0);
-  EXPECT_EQ(single.shards, 1);  // one item: whole budget goes inner
-  EXPECT_EQ(single.inner, threads);
-  const ShardPlan empty = PlanOuterShards(0, 0);
-  EXPECT_EQ(empty.shards, 1);
-  EXPECT_EQ(empty.chunk, 0);
-}
-
-TEST(ParallelForTest, PlanOuterShardsMatchesRunnableChunks) {
-  // Ceil division can produce fewer chunks than the requested shard count
-  // (items=9, cap=6 -> chunk=2 -> 5 chunks); the plan must report the
-  // shard count that actually runs, since callers size per-shard state
-  // (model replicas) off it.
-  for (int64_t items = 1; items <= 40; ++items) {
-    for (int cap : {0, 2, 3, 6}) {
-      const ShardPlan plan = PlanOuterShards(items, cap);
-      ASSERT_GT(plan.chunk, 0);
-      EXPECT_EQ(plan.shards, (items + plan.chunk - 1) / plan.chunk)
-          << "items=" << items << " cap=" << cap;
-    }
-  }
-}
-
-TEST(ParallelForTest, OuterShardsCoverRangeWithStableShardIds) {
-  const ShardPlan plan = PlanOuterShards(23, 0);
-  std::vector<std::atomic<int>> hits(23);
-  for (auto& h : hits) h.store(0);
-  std::vector<std::atomic<int>> active(static_cast<size_t>(plan.shards));
-  for (auto& a : active) a.store(0);
-  std::atomic<bool> overlap{false};
-  ParallelForOuter(0, 23, 0, [&](int shard, int64_t b, int64_t e) {
-    ASSERT_GE(shard, 0);
-    ASSERT_LT(shard, plan.shards);
-    // At most one chunk per shard id may run at any time — that is what
-    // lets shards own per-shard state (model replicas).
-    if (active[static_cast<size_t>(shard)].fetch_add(1) != 0) {
-      overlap.store(true);
-    }
-    for (int64_t i = b; i < e; ++i) {
-      hits[static_cast<size_t>(i)].fetch_add(1);
-    }
-    active[static_cast<size_t>(shard)].fetch_sub(1);
-  });
-  EXPECT_FALSE(overlap.load());
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelForTest, InnerLoopsInsideOuterShardsStayCorrect) {
-  std::atomic<int64_t> total{0};
-  ParallelForOuter(0, 6, 2, [&](int, int64_t b, int64_t e) {
-    for (int64_t i = b; i < e; ++i) {
-      ParallelFor(0, 250, [&](int64_t) { total.fetch_add(1); });
-    }
-  });
-  EXPECT_EQ(total.load(), 6 * 250);
-}
-
-TEST(ParallelForTest, NestedOuterRunsInlineAsOneShard) {
-  std::atomic<int> calls{0};
-  std::atomic<int64_t> covered{0};
-  ParallelForOuter(0, 4, 0, [&](int, int64_t b, int64_t e) {
-    for (int64_t i = b; i < e; ++i) {
-      ParallelForOuter(0, 8, 0, [&](int shard, int64_t ib, int64_t ie) {
-        EXPECT_EQ(shard, 0);  // nested: one inline shard, whole range
-        EXPECT_EQ(ib, 0);
-        EXPECT_EQ(ie, 8);
-        calls.fetch_add(1);
-        covered.fetch_add(ie - ib);
+TEST(ParallelForTest, BudgetScopeWiderThanPoolStillCoversRanges) {
+  // The scope clamps its budget to NumThreads(), so under CAMAL_THREADS=1
+  // this runs inline instead of dispatching to a pool with no workers. A
+  // fresh thread, because scopes must not nest.
+  std::thread scoped([] {
+    {
+      ParallelBudgetScope budget(2);
+      std::vector<std::atomic<int>> hits(1000);
+      ParallelFor(0, 1000, [&](int64_t i) { hits[i].fetch_add(1); });
+      for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+      std::atomic<int64_t> nested{0};
+      ParallelFor(0, 8, [&](int64_t) {
+        ParallelFor(0, 100, [&](int64_t) { nested.fetch_add(1); });
       });
+      EXPECT_EQ(nested.load(), 800);
     }
+    // After the scope the thread is a top-level caller again.
+    std::atomic<int64_t> total{0};
+    ParallelFor(0, 1000, [&](int64_t) { total.fetch_add(1); });
+    EXPECT_EQ(total.load(), 1000);
   });
-  EXPECT_EQ(calls.load(), 4);
-  EXPECT_EQ(covered.load(), 4 * 8);
+  scoped.join();
 }
 
 TEST(StopwatchTest, MeasuresElapsedTime) {

@@ -5,7 +5,6 @@
 #include "nn/activations.h"
 #include "nn/batchnorm1d.h"
 #include "nn/conv1d.h"
-#include "nn/dropout.h"
 #include "nn/gru.h"
 #include "nn/layernorm.h"
 #include "nn/linear.h"
@@ -223,32 +222,6 @@ TEST(LayerNormTest, NormalizesAcrossFeatures) {
   double mean = 0.0;
   for (int64_t j = 0; j < 4; ++j) mean += y.at3(0, j, 0);
   EXPECT_NEAR(mean / 4.0, 0.0, 1e-5);
-}
-
-TEST(DropoutTest, EvalModeIsIdentity) {
-  Rng rng(1);
-  Dropout drop(0.5f, &rng);
-  drop.SetTraining(false);
-  Tensor x = Tensor::FromVector({1, 2, 3});
-  Tensor y = drop.Forward(x);
-  for (int64_t i = 0; i < 3; ++i) EXPECT_EQ(y.at(i), x.at(i));
-}
-
-TEST(DropoutTest, TrainingZeroesApproxFraction) {
-  Rng rng(2);
-  Dropout drop(0.4f, &rng);
-  drop.SetTraining(true);
-  Tensor x = Tensor::Full({10000}, 1.0f);
-  Tensor y = drop.Forward(x);
-  int64_t zeros = 0;
-  for (int64_t i = 0; i < y.numel(); ++i) {
-    if (y.at(i) == 0.0f) {
-      ++zeros;
-    } else {
-      EXPECT_NEAR(y.at(i), 1.0f / 0.6f, 1e-5);
-    }
-  }
-  EXPECT_NEAR(static_cast<double>(zeros) / 10000.0, 0.4, 0.03);
 }
 
 TEST(UpsampleTest, NearestRepeatsValues) {

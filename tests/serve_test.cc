@@ -13,23 +13,23 @@
 #include <utility>
 
 #include "common/fault_injection.h"
-#include "common/parallel_for.h"
 #include "common/rng.h"
 #include "core/ensemble.h"
 #include "core/inception.h"
 #include "core/resnet.h"
+#include "data/time_series.h"
 #include "data/window.h"
 #include "serve/batch_runner.h"
 #include "serve/request_queue.h"
 #include "serve/service.h"
-#include "serve/sharded_scanner.h"
 #include "serve/window_stream.h"
 
 namespace camal {
 namespace {
 
-// Force a multi-thread pool even on single-core machines so sharded scans
-// really run concurrently; an explicit CAMAL_THREADS (e.g. from CI) wins.
+// Force a multi-thread pool even on single-core machines so default-sized
+// services run several workers concurrently; an explicit CAMAL_THREADS
+// (e.g. from CI) wins.
 const bool kThreadsForced = [] {
   setenv("CAMAL_THREADS", "4", /*overwrite=*/0);
   return true;
@@ -44,11 +44,23 @@ serve::WindowStreamOptions SmallStream(int64_t window, int64_t stride,
   return opt;
 }
 
-TEST(WindowStreamTest, CoversEveryTimestamp) {
+// Window offsets a one-series stream emits, in emission order.
+std::vector<int64_t> StreamOffsets(const std::vector<float>& series,
+                                   const serve::WindowStreamOptions& opt) {
+  serve::MultiWindowStream stream({data::SeriesView(series)}, opt);
+  nn::Tensor batch;
+  std::vector<serve::WindowRef> refs;
+  std::vector<int64_t> offsets;
+  while (stream.NextBatch(&batch, &refs) > 0) {
+    for (const serve::WindowRef& ref : refs) offsets.push_back(ref.offset);
+  }
+  return offsets;
+}
+
+TEST(MultiWindowStreamTest, CoversEveryTimestamp) {
   std::vector<float> series(100, 1.0f);
-  serve::WindowStream stream(series, SmallStream(16, 8, 4));
   std::vector<int> covered(series.size(), 0);
-  for (int64_t off : stream.offsets()) {
+  for (int64_t off : StreamOffsets(series, SmallStream(16, 8, 4))) {
     ASSERT_GE(off, 0);
     ASSERT_LE(off + 16, static_cast<int64_t>(series.size()));
     for (int64_t t = off; t < off + 16; ++t) ++covered[static_cast<size_t>(t)];
@@ -58,90 +70,93 @@ TEST(WindowStreamTest, CoversEveryTimestamp) {
   }
 }
 
-TEST(WindowStreamTest, TailWindowAlignsToSeriesEnd) {
+TEST(MultiWindowStreamTest, TailWindowAlignsToSeriesEnd) {
   // 20 samples, window 8, stride 8: grid covers [0,8) and [8,16); the tail
   // window [12,20) must be added for the last 4 samples.
   std::vector<float> series(20, 1.0f);
-  serve::WindowStream stream(series, SmallStream(8, 8, 4));
-  ASSERT_EQ(stream.NumWindows(), 3);
-  EXPECT_EQ(stream.offsets().back(), 12);
+  const std::vector<int64_t> offsets =
+      StreamOffsets(series, SmallStream(8, 8, 4));
+  ASSERT_EQ(offsets.size(), 3u);
+  EXPECT_EQ(offsets.back(), 12);
 }
 
-TEST(WindowStreamTest, TailWindowExactFitIsNotDuplicated) {
+TEST(MultiWindowStreamTest, TailWindowExactFitIsNotDuplicated) {
   // 32 samples, window 16, stride 8: offsets {0, 8, 16}; the last grid
   // window already ends at the series end (offsets.back() + L == len), so
   // no extra tail window may be added.
   std::vector<float> series(32, 1.0f);
-  serve::WindowStream stream(series, SmallStream(16, 8, 4));
-  ASSERT_EQ(stream.NumWindows(), 3);
-  EXPECT_EQ(stream.offsets().back() + 16,
-            static_cast<int64_t>(series.size()));
+  const std::vector<int64_t> offsets =
+      StreamOffsets(series, SmallStream(16, 8, 4));
+  ASSERT_EQ(offsets.size(), 3u);
+  EXPECT_EQ(offsets.back() + 16, static_cast<int64_t>(series.size()));
 }
 
-TEST(WindowStreamTest, AllMissingWindowsAreZeroFilled) {
+TEST(MultiWindowStreamTest, AllMissingWindowsAreZeroFilled) {
   std::vector<float> series(24, std::nanf(""));
-  serve::WindowStream stream(series, SmallStream(16, 8, 4));
+  serve::MultiWindowStream stream({data::SeriesView(series)},
+                                  SmallStream(16, 8, 4));
   nn::Tensor batch;
-  std::vector<int64_t> offsets;
-  ASSERT_EQ(stream.NextBatch(&batch, &offsets), 2);
+  std::vector<serve::WindowRef> refs;
+  ASSERT_EQ(stream.NextBatch(&batch, &refs), 2);
   for (int64_t i = 0; i < batch.numel(); ++i) {
     EXPECT_EQ(batch.at(i), 0.0f) << "element " << i;
   }
 }
 
-TEST(WindowStreamTest, NextBatchReusesCallerTensor) {
+TEST(MultiWindowStreamTest, NextBatchReusesCallerTensor) {
   std::vector<float> series(80, 1.0f);  // 5 windows of 16 at stride 16
-  serve::WindowStream stream(series, SmallStream(16, 16, 2));
+  serve::MultiWindowStream stream({data::SeriesView(series)},
+                                  SmallStream(16, 16, 2));
   nn::Tensor batch;
-  std::vector<int64_t> offsets;
-  ASSERT_EQ(stream.NextBatch(&batch, &offsets), 2);
+  std::vector<serve::WindowRef> refs;
+  ASSERT_EQ(stream.NextBatch(&batch, &refs), 2);
   const float* storage = batch.data();
-  ASSERT_EQ(stream.NextBatch(&batch, &offsets), 2);
+  ASSERT_EQ(stream.NextBatch(&batch, &refs), 2);
   EXPECT_EQ(batch.data(), storage);  // same shape: storage reused in place
-  ASSERT_EQ(stream.NextBatch(&batch, &offsets), 1);
+  ASSERT_EQ(stream.NextBatch(&batch, &refs), 1);
   EXPECT_EQ(batch.ShapeString(), "(1, 1, 16)");  // short batch reshapes
 }
 
-TEST(WindowStreamTest, ShortSeriesYieldsNothing) {
+TEST(MultiWindowStreamTest, ShortSeriesYieldsNothing) {
   std::vector<float> series(5, 1.0f);
-  serve::WindowStream stream(series, SmallStream(8, 4, 2));
+  serve::MultiWindowStream stream({data::SeriesView(series)},
+                                  SmallStream(8, 4, 2));
   EXPECT_EQ(stream.NumWindows(), 0);
   nn::Tensor batch;
-  std::vector<int64_t> offsets;
-  EXPECT_EQ(stream.NextBatch(&batch, &offsets), 0);
+  std::vector<serve::WindowRef> refs;
+  EXPECT_EQ(stream.NextBatch(&batch, &refs), 0);
 }
 
-TEST(WindowStreamTest, BatchesScaleAndZeroFillMissing) {
+TEST(MultiWindowStreamTest, BatchesScaleAndZeroFillMissing) {
   std::vector<float> series(32, 2000.0f);
   series[3] = std::nanf("");
   serve::WindowStreamOptions opt = SmallStream(16, 16, 8);
   opt.input_scale = 1000.0f;
-  serve::WindowStream stream(series, opt);
+  serve::MultiWindowStream stream({data::SeriesView(series)}, opt);
   nn::Tensor batch;
-  std::vector<int64_t> offsets;
-  ASSERT_EQ(stream.NextBatch(&batch, &offsets), 2);
+  std::vector<serve::WindowRef> refs;
+  ASSERT_EQ(stream.NextBatch(&batch, &refs), 2);
   EXPECT_EQ(batch.ShapeString(), "(2, 1, 16)");
-  EXPECT_EQ(offsets[0], 0);
-  EXPECT_EQ(offsets[1], 16);
+  EXPECT_EQ(refs[0].offset, 0);
+  EXPECT_EQ(refs[1].offset, 16);
   EXPECT_FLOAT_EQ(batch.at3(0, 0, 0), 2.0f);   // 2000 W / 1000
   EXPECT_FLOAT_EQ(batch.at3(0, 0, 3), 0.0f);   // missing reading
-  EXPECT_EQ(stream.NextBatch(&batch, &offsets), 0);
-  stream.Reset();
-  EXPECT_EQ(stream.NextBatch(&batch, &offsets), 2);
+  EXPECT_EQ(stream.NextBatch(&batch, &refs), 0);
 }
 
-TEST(WindowStreamTest, SmallFinalBatchIsEmitted) {
+TEST(MultiWindowStreamTest, SmallFinalBatchIsEmitted) {
   std::vector<float> series(80, 1.0f);
-  serve::WindowStream stream(series, SmallStream(16, 16, 4));
+  serve::MultiWindowStream stream({data::SeriesView(series)},
+                                  SmallStream(16, 16, 4));
   nn::Tensor batch;
-  std::vector<int64_t> offsets;
+  std::vector<serve::WindowRef> refs;
   ASSERT_EQ(stream.NumWindows(), 5);
-  EXPECT_EQ(stream.NextBatch(&batch, &offsets), 4);
-  EXPECT_EQ(stream.NextBatch(&batch, &offsets), 1);
-  EXPECT_EQ(stream.NextBatch(&batch, &offsets), 0);
+  EXPECT_EQ(stream.NextBatch(&batch, &refs), 4);
+  EXPECT_EQ(stream.NextBatch(&batch, &refs), 1);
+  EXPECT_EQ(stream.NextBatch(&batch, &refs), 0);
 }
 
-TEST(WindowStreamTest, ComputeWindowOffsetsGridAndTail) {
+TEST(MultiWindowStreamTest, ComputeWindowOffsetsGridAndTail) {
   serve::WindowStreamOptions opt = SmallStream(16, 8, 4);
   // Exact grid fit, (len - L) % stride == 0: no duplicate tail offset.
   EXPECT_EQ(serve::ComputeWindowOffsets(32, opt),
@@ -156,105 +171,47 @@ TEST(WindowStreamTest, ComputeWindowOffsetsGridAndTail) {
             (std::vector<int64_t>{0}));
 }
 
-TEST(WindowStreamTest, ResetThenRescanReusesTensorAndRepeatsBatches) {
-  // Reset() + re-scan with the same tensor must reproduce the first
-  // pass's batches exactly, without reallocating equal-shaped batches.
-  Rng rng(41);
-  std::vector<float> series(72);
-  for (auto& v : series) v = static_cast<float>(rng.Uniform(0.0, 3000.0));
-  series[5] = std::nanf("");
-  serve::WindowStream stream(series, SmallStream(16, 8, 4));
-
-  nn::Tensor batch;
-  std::vector<int64_t> offsets;
-  std::vector<std::vector<float>> first_pass;
-  std::vector<int64_t> first_offsets;
-  int64_t b = 0;
-  while ((b = stream.NextBatch(&batch, &offsets)) > 0) {
-    first_pass.emplace_back(batch.data(), batch.data() + batch.numel());
-    first_offsets.insert(first_offsets.end(), offsets.begin(), offsets.end());
-  }
-  ASSERT_EQ(static_cast<int64_t>(first_offsets.size()), stream.NumWindows());
-
-  stream.Reset();
-  const float* storage = batch.data();
-  size_t batch_index = 0;
-  std::vector<int64_t> second_offsets;
-  while ((b = stream.NextBatch(&batch, &offsets)) > 0) {
-    ASSERT_LT(batch_index, first_pass.size());
-    const std::vector<float>& expected = first_pass[batch_index++];
-    ASSERT_EQ(batch.numel(), static_cast<int64_t>(expected.size()));
-    for (int64_t i = 0; i < batch.numel(); ++i) {
-      EXPECT_EQ(batch.at(i), expected[static_cast<size_t>(i)]);
-    }
-    if (batch.numel() == static_cast<int64_t>(first_pass.front().size())) {
-      // Full-size batches keep reusing the caller's storage in place.
-      EXPECT_EQ(batch.data(), storage);
-    }
-    second_offsets.insert(second_offsets.end(), offsets.begin(),
-                          offsets.end());
-  }
-  EXPECT_EQ(batch_index, first_pass.size());
-  EXPECT_EQ(second_offsets, first_offsets);
-}
-
 TEST(MultiWindowStreamTest, MergesSeriesWindowsAcrossBatchBoundaries) {
   // Series 0 has 3 windows (len 32, window 16, stride 8), series 1 has 5
   // (len 48): one shared stream of 8 windows. With batch_size 4 the second
-  // batch spans the series boundary — the coalescing the per-series
-  // WindowStream cannot do.
+  // batch spans the series boundary.
   Rng rng(43);
   std::vector<float> a(32), c(48);
   for (auto& v : a) v = static_cast<float>(rng.Uniform(0.0, 3000.0));
   for (auto& v : c) v = static_cast<float>(rng.Uniform(0.0, 3000.0));
+  a[5] = std::nanf("");
   serve::WindowStreamOptions opt = SmallStream(16, 8, 4);
+  const std::vector<const std::vector<float>*> series = {&a, &c};
   serve::MultiWindowStream stream({data::SeriesView(a), data::SeriesView(c)},
                                   opt);
   ASSERT_EQ(stream.NumWindows(), 8);
-  EXPECT_EQ(stream.NumWindowsOf(0), 3);
-  EXPECT_EQ(stream.NumWindowsOf(1), 5);
 
-  // Reference rows from the single-series streams.
-  auto single_rows = [&](const std::vector<float>& series) {
-    serve::WindowStream s(series, opt);
-    nn::Tensor batch;
-    std::vector<int64_t> offsets;
-    std::vector<std::vector<float>> rows;
-    int64_t b = 0;
-    while ((b = s.NextBatch(&batch, &offsets)) > 0) {
-      for (int64_t i = 0; i < b; ++i) {
-        rows.emplace_back(batch.data() + i * 16, batch.data() + (i + 1) * 16);
-      }
-    }
-    return rows;
-  };
-  std::vector<std::vector<float>> expected = single_rows(a);
-  std::vector<std::vector<float>> rows_c = single_rows(c);
-  expected.insert(expected.end(), rows_c.begin(), rows_c.end());
-
+  // Series-major order: series 0's offsets first, then series 1's.
+  const std::vector<std::pair<int32_t, int64_t>> want = {
+      {0, 0}, {0, 8}, {0, 16}, {1, 0}, {1, 8}, {1, 16}, {1, 24}, {1, 32}};
   nn::Tensor batch;
   std::vector<serve::WindowRef> refs;
-  std::vector<serve::WindowRef> all_refs;
   size_t row = 0;
   int64_t b = 0;
   while ((b = stream.NextBatch(&batch, &refs)) > 0) {
     for (int64_t i = 0; i < b; ++i, ++row) {
-      ASSERT_LT(row, expected.size());
+      ASSERT_LT(row, want.size());
+      EXPECT_EQ(refs[static_cast<size_t>(i)].series, want[row].first)
+          << "ref " << row;
+      EXPECT_EQ(refs[static_cast<size_t>(i)].offset, want[row].second)
+          << "ref " << row;
+      const std::vector<float>& src =
+          *series[static_cast<size_t>(want[row].first)];
       for (int64_t t = 0; t < 16; ++t) {
-        // Coalesced rows are bit-for-bit the single-stream rows.
-        EXPECT_EQ(batch.at(i * 16 + t), expected[row][static_cast<size_t>(t)]);
+        // The stream's exact arithmetic: zero-fill, then scale.
+        const float v = src[static_cast<size_t>(want[row].second + t)];
+        const float expected =
+            data::IsMissing(v) ? 0.0f : v * (1.0f / opt.input_scale);
+        EXPECT_EQ(batch.at(i * 16 + t), expected) << "row " << row;
       }
     }
-    all_refs.insert(all_refs.end(), refs.begin(), refs.end());
   }
-  ASSERT_EQ(all_refs.size(), 8u);
-  // Series-major order: series 0's offsets first, then series 1's.
-  const std::vector<std::pair<int32_t, int64_t>> want = {
-      {0, 0}, {0, 8}, {0, 16}, {1, 0}, {1, 8}, {1, 16}, {1, 24}, {1, 32}};
-  for (size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(all_refs[i].series, want[i].first) << "ref " << i;
-    EXPECT_EQ(all_refs[i].offset, want[i].second) << "ref " << i;
-  }
+  EXPECT_EQ(row, want.size());
 }
 
 core::CamalEnsemble RandomEnsemble(uint64_t seed) {
@@ -499,191 +456,13 @@ std::vector<std::vector<float>> SyntheticCohort(int households,
   cohort.reserve(static_cast<size_t>(households));
   for (int h = 0; h < households; ++h) {
     // Mixed lengths, including one shorter than the 16-sample window so
-    // the padding path runs inside a shard too.
+    // the padding path runs inside a service worker too.
     const int64_t len = h == 4 ? 9 : 80 + 13 * h;
     std::vector<float> series(static_cast<size_t>(len));
     for (auto& v : series) v = static_cast<float>(rng.Uniform(0.0, 3000.0));
     cohort.push_back(std::move(series));
   }
   return cohort;
-}
-
-TEST(ShardedScannerTest, MatchesSequentialScansBitwise) {
-  core::CamalEnsemble ensemble = RandomEnsemble(11);
-  serve::BatchRunnerOptions opt;
-  opt.stream = SmallStream(16, 8, 4);
-  opt.appliance_avg_power_w = 600.0f;
-  const std::vector<std::vector<float>> cohort = SyntheticCohort(9, 12);
-
-  serve::ShardedScannerOptions sharded_opt;
-  sharded_opt.runner = opt;
-  serve::ShardedScanner scanner(&ensemble, sharded_opt);
-  std::vector<serve::ScanResult> sharded = scanner.ScanAll(cohort).value();
-
-  serve::BatchRunner sequential(&ensemble, opt);
-  ASSERT_EQ(sharded.size(), cohort.size());
-  for (size_t h = 0; h < cohort.size(); ++h) {
-    serve::ScanResult expected = sequential.Scan(cohort[h]);
-    ASSERT_EQ(sharded[h].windows, expected.windows) << "household " << h;
-    ASSERT_EQ(sharded[h].detection.numel(), expected.detection.numel());
-    for (int64_t t = 0; t < expected.detection.numel(); ++t) {
-      // Bitwise equality: shards run the same per-household code over
-      // exact weight replicas, so thread count must not change a single
-      // ULP of the stitched outputs.
-      EXPECT_EQ(sharded[h].detection.at(t), expected.detection.at(t));
-      EXPECT_EQ(sharded[h].status.at(t), expected.status.at(t));
-      EXPECT_EQ(sharded[h].power.at(t), expected.power.at(t));
-    }
-  }
-}
-
-TEST(ShardedScannerTest, ShardCapDoesNotChangeResults) {
-  // Serial (max_shards=1, inline, no pool) vs unrestricted sharding must
-  // merge to bitwise-identical outputs — the single-thread vs multi-thread
-  // equivalence of the stitching pipeline.
-  core::CamalEnsemble ensemble = RandomEnsemble(13);
-  serve::BatchRunnerOptions opt;
-  opt.stream = SmallStream(16, 8, 8);
-  opt.appliance_avg_power_w = 450.0f;
-  const std::vector<std::vector<float>> cohort = SyntheticCohort(8, 21);
-
-  serve::ShardedScannerOptions serial_opt;
-  serial_opt.runner = opt;
-  serial_opt.max_shards = 1;
-  serve::ShardedScanner serial(&ensemble, serial_opt);
-  serve::ShardedScannerOptions wide_opt;
-  wide_opt.runner = opt;
-  serve::ShardedScanner wide(&ensemble, wide_opt);
-
-  std::vector<serve::ScanResult> a = serial.ScanAll(cohort).value();
-  std::vector<serve::ScanResult> b = wide.ScanAll(cohort).value();
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t h = 0; h < a.size(); ++h) {
-    ASSERT_EQ(a[h].windows, b[h].windows);
-    for (int64_t t = 0; t < a[h].detection.numel(); ++t) {
-      EXPECT_EQ(a[h].detection.at(t), b[h].detection.at(t));
-      EXPECT_EQ(a[h].status.at(t), b[h].status.at(t));
-      EXPECT_EQ(a[h].power.at(t), b[h].power.at(t));
-    }
-  }
-}
-
-TEST(ShardedScannerTest, ClonesNonDefaultBackboneConfigs) {
-  // Regression: shard replicas are rebuilt from the member's full config.
-  // An Inception member with non-default depth used to make Clone abort
-  // on a parameter-count mismatch inside EnsureShards.
-  Rng rng(17);
-  core::InceptionConfig config;
-  config.kernel_size = 5;
-  config.base_filters = 4;
-  config.depth = 2;  // non-default (default is 3)
-  std::vector<core::EnsembleMember> members;
-  core::EnsembleMember member;
-  member.model = std::make_unique<core::InceptionClassifier>(config, &rng);
-  member.kernel_size = config.kernel_size;
-  members.push_back(std::move(member));
-  core::CamalEnsemble ensemble =
-      core::CamalEnsemble::FromMembers(std::move(members));
-
-  serve::ShardedScannerOptions opt;
-  opt.runner.stream = SmallStream(16, 8, 4);
-  opt.runner.appliance_avg_power_w = 500.0f;
-  serve::ShardedScanner scanner(&ensemble, opt);
-  const std::vector<std::vector<float>> cohort = SyntheticCohort(8, 23);
-  std::vector<serve::ScanResult> scans = scanner.ScanAll(cohort).value();
-
-  serve::BatchRunner sequential(&ensemble, opt.runner);
-  for (size_t h = 0; h < cohort.size(); ++h) {
-    serve::ScanResult expected = sequential.Scan(cohort[h]);
-    for (int64_t t = 0; t < expected.detection.numel(); ++t) {
-      EXPECT_EQ(scans[h].detection.at(t), expected.detection.at(t));
-    }
-  }
-}
-
-TEST(ShardedScannerTest, EmptyCohortYieldsNoResults) {
-  core::CamalEnsemble ensemble = RandomEnsemble(15);
-  serve::ShardedScannerOptions opt;
-  opt.runner.stream = SmallStream(16, 8, 4);
-  serve::ShardedScanner scanner(&ensemble, opt);
-  EXPECT_TRUE(
-      scanner.ScanAll(std::vector<std::vector<float>>()).value().empty());
-}
-
-TEST(ShardedScannerTest, GrowsWorkerPoolForLargerCohorts) {
-  // Regression: the internal service used to be sized by the FIRST cohort
-  // and frozen, silently serializing every later, larger cohort. A small
-  // warm-up scan must not pin the pool at one worker.
-  core::CamalEnsemble ensemble = RandomEnsemble(37);
-  serve::BatchRunnerOptions opt;
-  opt.stream = SmallStream(16, 8, 4);
-  opt.appliance_avg_power_w = 500.0f;
-  serve::ShardedScannerOptions sharded_opt;
-  sharded_opt.runner = opt;
-  serve::ShardedScanner scanner(&ensemble, sharded_opt);
-
-  const std::vector<std::vector<float>> warmup = SyntheticCohort(1, 38);
-  ASSERT_EQ(scanner.ScanAll(warmup).value().size(), 1u);
-
-  const std::vector<std::vector<float>> cohort = SyntheticCohort(9, 39);
-  std::vector<serve::ScanResult> scans = scanner.ScanAll(cohort).value();
-  serve::BatchRunner sequential(&ensemble, opt);
-  ASSERT_EQ(scans.size(), cohort.size());
-  for (size_t h = 0; h < cohort.size(); ++h) {
-    serve::ScanResult expected = sequential.Scan(cohort[h]);
-    ASSERT_EQ(scans[h].windows, expected.windows) << "household " << h;
-    for (int64_t t = 0; t < expected.detection.numel(); ++t) {
-      EXPECT_EQ(scans[h].detection.at(t), expected.detection.at(t));
-      EXPECT_EQ(scans[h].status.at(t), expected.status.at(t));
-      EXPECT_EQ(scans[h].power.at(t), expected.power.at(t));
-    }
-  }
-}
-
-TEST(ShardedScannerTest, CoalesceBudgetPassesThroughForDeepCohorts) {
-  // ROADMAP "adaptive coalescing" first step: when households outnumber
-  // the shard cap, each worker serves a deep queue, so the configured
-  // coalesce budget flows into the internal service; a cohort that fits
-  // the pool keeps the budget pinned at 1. Results stay bitwise-identical
-  // to sequential scans either way.
-  core::CamalEnsemble ensemble = RandomEnsemble(41);
-  serve::BatchRunnerOptions opt;
-  opt.stream = SmallStream(16, 8, 4);
-  opt.appliance_avg_power_w = 700.0f;
-  serve::ShardedScannerOptions sharded_opt;
-  sharded_opt.runner = opt;
-  sharded_opt.max_shards = 2;
-  sharded_opt.coalesce_budget = 4;
-  serve::ShardedScanner scanner(&ensemble, sharded_opt);
-
-  // One household can never outnumber the (>= 1 worker) pool: pinned off.
-  const std::vector<std::vector<float>> one = SyntheticCohort(1, 42);
-  ASSERT_EQ(scanner.ScanAll(one).value().size(), 1u);
-  ASSERT_NE(scanner.service(), nullptr);
-  EXPECT_EQ(scanner.service()->coalesce_budget(), 1);
-
-  // Nine households over at most two workers: deep queues, the configured
-  // budget flows into the (possibly rebuilt) service.
-  const std::vector<std::vector<float>> cohort = SyntheticCohort(9, 43);
-  std::vector<serve::ScanResult> scans = scanner.ScanAll(cohort).value();
-  EXPECT_EQ(scanner.service()->coalesce_budget(), 4);
-  serve::BatchRunner sequential(&ensemble, opt);
-  ASSERT_EQ(scans.size(), cohort.size());
-  for (size_t h = 0; h < cohort.size(); ++h) {
-    serve::ScanResult expected = sequential.Scan(cohort[h]);
-    ASSERT_EQ(scans[h].windows, expected.windows) << "household " << h;
-    for (int64_t t = 0; t < expected.detection.numel(); ++t) {
-      EXPECT_EQ(scans[h].detection.at(t), expected.detection.at(t));
-      EXPECT_EQ(scans[h].status.at(t), expected.status.at(t));
-      EXPECT_EQ(scans[h].power.at(t), expected.power.at(t));
-    }
-  }
-
-  // A later small cohort reuses the wider pool but re-pins the budget to
-  // 1 (runtime-adjustable — no rebuild): a cohort that fits the pool
-  // must not have one worker drain its siblings' households.
-  ASSERT_EQ(scanner.ScanAll(one).value().size(), 1u);
-  EXPECT_EQ(scanner.service()->coalesce_budget(), 1);
 }
 
 // ---------------------------------------------------------------------
@@ -698,6 +477,12 @@ serve::QueuedScan MakeTask(const std::vector<float>* series) {
   return task;
 }
 
+// Pops the head task alone: PopGroup with no drain budget.
+bool PopOne(serve::RequestQueue* queue, serve::QueuedScan* out) {
+  std::vector<serve::QueuedScan> extras;
+  return queue->PopGroup(out, &extras, 0);
+}
+
 TEST(RequestQueueTest, PushPopIsFifo) {
   std::vector<float> series(4, 1.0f);
   serve::RequestQueue queue(/*capacity=*/4);
@@ -709,7 +494,7 @@ TEST(RequestQueueTest, PushPopIsFifo) {
   EXPECT_EQ(queue.size(), 3);
   serve::QueuedScan out;
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(queue.Pop(&out));
+    ASSERT_TRUE(PopOne(&queue, &out));
     EXPECT_EQ(out.request.household_id, std::to_string(i));
   }
   EXPECT_EQ(queue.size(), 0);
@@ -734,7 +519,7 @@ TEST(RequestQueueTest, RejectsWhenFullAndLeavesTaskIntact) {
 
   // Popping one admits one again.
   serve::QueuedScan out;
-  ASSERT_TRUE(queue.Pop(&out));
+  ASSERT_TRUE(PopOne(&queue, &out));
   serve::QueuedScan d = MakeTask(&series);
   EXPECT_TRUE(queue.Push(&d).ok());
 }
@@ -753,12 +538,12 @@ TEST(RequestQueueTest, CloseStopsAdmissionButDrainsBacklog) {
   EXPECT_EQ(queue.Push(&late).code(), StatusCode::kFailedPrecondition);
 
   // Graceful shutdown contract: admitted tasks are still poppable, then
-  // Pop reports exhaustion.
+  // PopGroup reports exhaustion.
   serve::QueuedScan out;
-  EXPECT_TRUE(queue.Pop(&out));
-  EXPECT_TRUE(queue.Pop(&out));
-  EXPECT_FALSE(queue.Pop(&out));
-  EXPECT_FALSE(queue.Pop(&out));  // stays drained
+  EXPECT_TRUE(PopOne(&queue, &out));
+  EXPECT_TRUE(PopOne(&queue, &out));
+  EXPECT_FALSE(PopOne(&queue, &out));
+  EXPECT_FALSE(PopOne(&queue, &out));  // stays drained
 }
 
 TEST(RequestQueueTest, PopBlocksUntilPushOrClose) {
@@ -767,7 +552,7 @@ TEST(RequestQueueTest, PopBlocksUntilPushOrClose) {
   std::atomic<int> popped{0};
   std::thread consumer([&] {
     serve::QueuedScan out;
-    while (queue.Pop(&out)) popped.fetch_add(1);
+    while (PopOne(&queue, &out)) popped.fetch_add(1);
   });
   for (int i = 0; i < 5; ++i) {
     serve::QueuedScan task = MakeTask(&series);
@@ -814,7 +599,7 @@ TEST(RequestQueueTest, PopGroupDrainsSameApplianceKeepingOthersInOrder) {
 
   // The bypassed appliances kept their relative order: b1, c1, then a4.
   serve::QueuedScan out;
-  ASSERT_TRUE(queue.Pop(&out));
+  ASSERT_TRUE(PopOne(&queue, &out));
   EXPECT_EQ(out.request.household_id, "b1");
   ASSERT_TRUE(queue.PopGroup(&first, &extras, 4));
   EXPECT_EQ(first.request.household_id, "c1");
@@ -825,7 +610,7 @@ TEST(RequestQueueTest, PopGroupDrainsSameApplianceKeepingOthersInOrder) {
   EXPECT_EQ(queue.size(), 0);
 }
 
-TEST(RequestQueueTest, PopGroupWithZeroBudgetBehavesLikePop) {
+TEST(RequestQueueTest, PopGroupWithZeroBudgetTakesOnlyTheHead) {
   std::vector<float> series(4, 1.0f);
   serve::RequestQueue queue(/*capacity=*/0);
   serve::QueuedScan a = MakeApplianceTask(&series, "a", "a1");
@@ -840,7 +625,7 @@ TEST(RequestQueueTest, PopGroupWithZeroBudgetBehavesLikePop) {
   EXPECT_TRUE(extras.empty());
   EXPECT_EQ(queue.size(), 1);
 
-  // Closed-and-drained reports exhaustion just like Pop.
+  // Closed-and-drained reports exhaustion.
   ASSERT_TRUE(queue.PopGroup(&first, &extras, 8));
   EXPECT_EQ(first.request.household_id, "a2");
   queue.Close();
@@ -875,9 +660,9 @@ TEST(RequestQueueTest, AnnotatedLockPathKeepsAllNormalTrafficBitwiseFifo) {
   // compile time; the migration must be behavior-neutral. All-kNormal
   // traffic is the PR 8 degenerate case in which the priority scheduler
   // must reproduce plain FIFO bit for bit — asserted here as exact
-  // admission-order service across both blocking dequeue paths
-  // (Pop and PopGroup, i.e. MutexLock scopes plus the CondVar wait loop)
-  // while a concurrent producer races the consumer in and out of waits.
+  // admission-order service across PopGroup with and without a drain
+  // budget (MutexLock scopes plus the CondVar wait loop) while a
+  // concurrent producer races the consumer in and out of waits.
   std::vector<float> series(4, 1.0f);
   serve::RequestQueue queue(/*capacity=*/0);
   constexpr int kTasks = 96;
@@ -894,7 +679,7 @@ TEST(RequestQueueTest, AnnotatedLockPathKeepsAllNormalTrafficBitwiseFifo) {
           served.push_back(extra.request.household_id);
         }
       } else {
-        if (!queue.Pop(&first)) break;
+        if (!PopOne(&queue, &first)) break;
         served.push_back(first.request.household_id);
       }
       use_group = !use_group;
@@ -948,7 +733,7 @@ TEST(RequestQueueTest, PopPrefersHigherPriorityKeepingFifoWithinClass) {
   // Most-urgent class first; admission (FIFO) order within each class.
   serve::QueuedScan out;
   for (const char* expected : {"h1", "h2", "n1", "n2", "l1"}) {
-    ASSERT_TRUE(queue.Pop(&out));
+    ASSERT_TRUE(PopOne(&queue, &out));
     EXPECT_EQ(out.request.household_id, expected);
   }
   EXPECT_EQ(queue.size(), 0);
@@ -987,7 +772,7 @@ TEST(RequestQueueTest, PopGroupGroupsOnlySamePriority) {
   // hb is now the most urgent; the normals follow in admission order.
   serve::QueuedScan out;
   for (const char* expected : {"hb", "n1", "n2"}) {
-    ASSERT_TRUE(queue.Pop(&out));
+    ASSERT_TRUE(PopOne(&queue, &out));
     EXPECT_EQ(out.request.household_id, expected);
   }
 }
@@ -1025,11 +810,11 @@ TEST(RequestQueueTest, PopGroupLeavesWorkForIdleSiblings) {
   EXPECT_EQ(extras.size(), 1u);
   EXPECT_EQ(queue.size(), 0);
 
-  // Now park a sibling consumer in Pop on the empty queue...
+  // Now park a sibling consumer in PopGroup on the empty queue...
   std::atomic<int> sibling_popped{0};
   std::thread sibling([&] {
     serve::QueuedScan out;
-    if (queue.Pop(&out)) sibling_popped.fetch_add(1);
+    if (PopOne(&queue, &out)) sibling_popped.fetch_add(1);
   });
   while (queue.waiting_consumers() != 1) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -1257,6 +1042,57 @@ TEST(ServiceTest, AsyncResultsMatchSequentialBitwiseAcrossAppliances) {
         EXPECT_EQ(async_scan.status.at(t), expected.status.at(t));
         EXPECT_EQ(async_scan.power.at(t), expected.power.at(t));
       }
+    }
+  }
+}
+
+TEST(ServiceTest, ClonesNonDefaultBackboneConfigs) {
+  // Regression: worker replicas are rebuilt from the member's full config.
+  // An Inception member with non-default depth used to make Clone abort
+  // on a parameter-count mismatch when Start replicated it.
+  Rng rng(17);
+  core::InceptionConfig config;
+  config.kernel_size = 5;
+  config.base_filters = 4;
+  config.depth = 2;  // non-default (default is 3)
+  std::vector<core::EnsembleMember> members;
+  core::EnsembleMember member;
+  member.model = std::make_unique<core::InceptionClassifier>(config, &rng);
+  member.kernel_size = config.kernel_size;
+  members.push_back(std::move(member));
+  core::CamalEnsemble ensemble =
+      core::CamalEnsemble::FromMembers(std::move(members));
+
+  const serve::BatchRunnerOptions runner = SmallRunner(16, 8, 4, 500.0f);
+  serve::ServiceOptions service_opt;
+  service_opt.workers = 2;
+  serve::Service service(service_opt);
+  ASSERT_TRUE(service.RegisterAppliance("oven", &ensemble, runner).ok());
+  ASSERT_TRUE(service.Start().ok());  // clones the depth-2 member
+
+  const std::vector<std::vector<float>> cohort = SyntheticCohort(8, 23);
+  std::vector<std::future<Result<serve::ScanResult>>> futures;
+  for (const auto& series : cohort) {
+    futures.push_back(service.Submit("oven", series));
+  }
+  std::vector<serve::ScanResult> scans;
+  for (auto& future : futures) {
+    Result<serve::ScanResult> result = future.get();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    scans.push_back(std::move(result).value());
+  }
+  // Worker 0 borrows the original ensemble: scan sequentially only once
+  // every request has resolved.
+  service.Shutdown();
+
+  serve::BatchRunner sequential(&ensemble, runner);
+  for (size_t h = 0; h < cohort.size(); ++h) {
+    serve::ScanResult expected = sequential.Scan(cohort[h]);
+    ASSERT_EQ(scans[h].windows, expected.windows) << "household " << h;
+    for (int64_t t = 0; t < expected.detection.numel(); ++t) {
+      EXPECT_EQ(scans[h].detection.at(t), expected.detection.at(t));
+      EXPECT_EQ(scans[h].status.at(t), expected.status.at(t));
+      EXPECT_EQ(scans[h].power.at(t), expected.power.at(t));
     }
   }
 }
