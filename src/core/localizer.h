@@ -55,8 +55,6 @@ class CamalLocalizer {
   /// Runs the full pipeline on (N, 1, L) scaled inputs.
   LocalizationResult Localize(const nn::Tensor& inputs);
 
-  const LocalizerOptions& options() const { return options_; }
-
  private:
   CamalEnsemble* ensemble_;
   LocalizerOptions options_;

@@ -62,7 +62,6 @@ class Conv1d : public Module {
 
   void CollectParameters(std::vector<Parameter*>* out) override;
 
-  const Conv1dOptions& options() const { return options_; }
   Parameter& weight() { return weight_; }
   Parameter& bias_param() { return bias_; }
 

@@ -11,9 +11,7 @@ namespace camal::serve {
 
 BatchRunner::BatchRunner(core::CamalEnsemble* ensemble,
                          BatchRunnerOptions options)
-    : ensemble_(ensemble),
-      localizer_(ensemble, options.localizer),
-      options_(options) {
+    : localizer_(ensemble, options.localizer), options_(options) {
   CAMAL_CHECK(ensemble != nullptr);
   CAMAL_CHECK_GE(options_.appliance_avg_power_w, 0.0f);
 }
@@ -36,77 +34,6 @@ Status BatchRunner::ValidateOptions(const BatchRunnerOptions& options) {
         "appliance_avg_power_w must be non-negative");
   }
   return Status::OK();
-}
-
-data::SeriesView BatchRunner::PrepareSeries(data::SeriesView series,
-                                            SeriesState* state,
-                                            ScanResult* result) {
-  const int64_t len = series.size();
-  const int64_t l = options_.stream.window_length;
-  state->len = len;
-  state->pad = 0;
-  result->detection = nn::Tensor({len});
-  result->status = nn::Tensor({len});
-  result->power = nn::Tensor({len});
-  if (len == 0) return data::SeriesView();
-
-  // A series shorter than one window is left-padded with zeros to a single
-  // window (zero is the stream's missing-reading fill) so short households
-  // still get real model predictions instead of all-zero output. The pad
-  // occupies [0, pad) of the scanned series; stitched outputs are shifted
-  // back by `pad` in FinalizeSeries.
-  data::SeriesView scan_series = series;
-  if (len < l) {
-    state->pad = l - len;
-    state->padded.assign(static_cast<size_t>(l), 0.0f);
-    std::copy(series.begin(), series.end(),
-              state->padded.begin() + static_cast<size_t>(state->pad));
-    scan_series = data::SeriesView(state->padded);
-  }
-  const size_t scan_len = static_cast<size_t>(len + state->pad);
-  state->prob_sum.assign(scan_len, 0.0f);
-  state->cover.assign(scan_len, 0);
-  state->on_votes.assign(scan_len, 0);
-  return scan_series;
-}
-
-void BatchRunner::StitchBatch(const core::LocalizationResult& loc,
-                              const std::vector<WindowRef>& refs,
-                              int64_t batch,
-                              const std::vector<int32_t>& feed_to_state,
-                              std::vector<ScanResult>* results) {
-  const int64_t l = options_.stream.window_length;
-  for (int64_t i = 0; i < batch; ++i) {
-    const WindowRef ref = refs[static_cast<size_t>(i)];
-    const size_t si =
-        static_cast<size_t>(feed_to_state[static_cast<size_t>(ref.series)]);
-    SeriesState& state = states_[si];
-    const float p = loc.probabilities.at(i);
-    for (int64_t t = 0; t < l; ++t) {
-      const size_t s = static_cast<size_t>(ref.offset + t);
-      state.prob_sum[s] += p;
-      ++state.cover[s];
-      if (loc.status.at2(i, t) > 0.5f) ++state.on_votes[s];
-    }
-    ++(*results)[si].windows;
-  }
-}
-
-void BatchRunner::FinalizeSeries(data::SeriesView aggregate_watts,
-                                 const SeriesState& state,
-                                 ScanResult* result) {
-  const int64_t len = state.len;
-  if (len == 0) return;
-
-  // Stitch votes into per-timestamp series, dropping the synthetic pad.
-  for (int64_t t = 0; t < len; ++t) {
-    const size_t s = static_cast<size_t>(t + state.pad);
-    const int32_t c = state.cover[s];
-    if (c == 0) continue;
-    result->detection.at(t) = state.prob_sum[s] / static_cast<float>(c);
-    result->status.at(t) = 2 * state.on_votes[s] > c ? 1.0f : 0.0f;
-  }
-  FinalizePower(aggregate_watts, result);
 }
 
 void BatchRunner::FinalizePower(data::SeriesView aggregate_watts,
@@ -135,139 +62,117 @@ void BatchRunner::FinalizePower(data::SeriesView aggregate_watts,
 
 std::vector<ScanResult> BatchRunner::ScanMany(
     const std::vector<data::SeriesView>& series) {
-  const size_t n = series.size();
-  std::vector<ScanResult> results(n);
-  // resize keeps existing elements, so their vote buffers' capacity is
-  // reused across scans.
-  states_.resize(std::max(states_.size(), n));
-
-  // Phase 1 setup: per-series stitch state, plus the feed list of
-  // non-empty (possibly padded) series for the shared window stream.
-  std::vector<data::SeriesView> feed;
-  std::vector<int32_t> feed_to_state;
-  feed.reserve(n);
-  feed_to_state.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    const data::SeriesView scan_series =
-        PrepareSeries(series[i], &states_[i], &results[i]);
-    if (scan_series.empty()) continue;  // empty: all-zero result
-    feed.push_back(scan_series);
-    feed_to_state.push_back(static_cast<int32_t>(i));
+  // A one-shot scan is the stitch pass over fresh scratch accumulators,
+  // voting on the caller's borrowed views. resize keeps existing
+  // elements, so their buffers' capacity is reused across scans.
+  scratch_.resize(std::max(scratch_.size(), series.size()));
+  std::vector<SessionScanState*> votes;
+  votes.reserve(series.size());
+  for (size_t i = 0; i < series.size(); ++i) {
+    SessionScanState& acc = scratch_[i];
+    const size_t len = static_cast<size_t>(series[i].size());
+    acc.grid_windows = 0;
+    acc.prob_sum.assign(len, 0.0f);
+    acc.cover.assign(len, 0);
+    acc.on_votes.assign(len, 0);
+    votes.push_back(&acc);
   }
-  if (feed.empty()) return results;
-
-  // Feed phase: every series' windows through shared GEMM batches —
-  // batches fill across series boundaries, so the last windows of one
-  // household share a forward pass with the first of the next.
-  MultiWindowStream stream(std::move(feed), options_.stream);
-  Stopwatch watch;
-  int64_t b = 0;
-  while ((b = stream.NextBatch(&batch_, &batch_refs_)) > 0) {
-    core::LocalizationResult loc = localizer_.Localize(batch_);
-    StitchBatch(loc, batch_refs_, b, feed_to_state, &results);
-  }
-  const double seconds = watch.ElapsedSeconds();
-
-  // Stitch phase: each series finalizes independently. The pass was
-  // shared, so each result reports its wall time (see ScanResult docs).
-  for (size_t i = 0; i < n; ++i) {
-    results[i].seconds = seconds;
-    results[i].windows_full = results[i].windows;
-    FinalizeSeries(series[i], states_[i], &results[i]);
-  }
-  return results;
+  return StitchPass(series, votes);
 }
 
 std::vector<ScanResult> BatchRunner::AppendScanMany(
     const std::vector<SessionScanState*>& states,
     const std::vector<data::SeriesView>& deltas) {
   CAMAL_CHECK_EQ(states.size(), deltas.size());
-  const size_t n = states.size();
-  const int64_t l = options_.stream.window_length;
-  const int64_t stride = options_.stream.stride;
-  std::vector<ScanResult> results(n);
-  // resize keeps existing elements; overlays_ must not grow again below —
-  // pad feed entries point at overlay members.
-  overlays_.resize(std::max(overlays_.size(), n));
-
-  // Phase 1: commit each delta, grow the persistent accumulators
-  // (zero-extending preserves committed votes), and plan refs for exactly
-  // the windows the new tail touches — not-yet-committed grid windows
-  // into the persistent accumulators, in ascending offset like a
-  // from-scratch stitch, then the end-dependent tail/pad window into the
-  // transient overlay.
-  std::vector<data::SeriesView> feed;
-  std::vector<int32_t> feed_state;    // feed index -> states index
-  std::vector<uint8_t> feed_overlay;  // feed entry is an overlay pad buffer
-  std::vector<WindowRef> refs;
-  for (size_t i = 0; i < n; ++i) {
+  // Commit each delta and zero-extend the accumulators, which keeps the
+  // committed grid votes; the pass then votes only on the new windows.
+  std::vector<data::SeriesView> views;
+  views.reserve(states.size());
+  for (size_t i = 0; i < states.size(); ++i) {
     SessionScanState* state = states[i];
     CAMAL_CHECK(state != nullptr);
     state->series.insert(state->series.end(), deltas[i].begin(),
                          deltas[i].end());
-    const int64_t len = state->readings();
+    const size_t len = state->series.size();
+    state->prob_sum.resize(len, 0.0f);
+    state->cover.resize(len, 0);
+    state->on_votes.resize(len, 0);
+    views.push_back(data::SeriesView(state->series));
+  }
+  return StitchPass(views, states);
+}
+
+std::vector<ScanResult> BatchRunner::StitchPass(
+    const std::vector<data::SeriesView>& views,
+    const std::vector<SessionScanState*>& votes) {
+  const size_t n = views.size();
+  const int64_t l = options_.stream.window_length;
+  const int64_t stride = options_.stream.stride;
+  std::vector<ScanResult> results(n);
+  // overlays_ must not grow again below: pad feed entries view them.
+  overlays_.resize(std::max(overlays_.size(), n));
+
+  // Plan: per series, the grid windows its accumulators have not voted
+  // on yet, in ascending offset, then the end-aligned tail or pad window.
+  // The end window gets a feed entry of its own, which routes its votes
+  // to the overlay.
+  struct FeedTarget {
+    size_t series;
+    bool overlay;
+  };
+  std::vector<data::SeriesView> feed;
+  std::vector<FeedTarget> targets;  // one per feed entry
+  std::vector<WindowRef> refs;
+  for (size_t i = 0; i < n; ++i) {
+    const data::SeriesView series = views[i];
+    const int64_t len = series.size();
+    SessionScanState& acc = *votes[i];
+    SessionScanState& overlay = overlays_[i];
     ScanResult& result = results[i];
     result.detection = nn::Tensor({len});
     result.status = nn::Tensor({len});
     result.power = nn::Tensor({len});
-    state->prob_sum.resize(static_cast<size_t>(len), 0.0f);
-    state->cover.resize(static_cast<size_t>(len), 0);
-    state->on_votes.resize(static_cast<size_t>(len), 0);
-    OverlayState& overlay = overlays_[i];
-    overlay.active = false;
-    if (len == 0) continue;  // nothing committed yet: all-zero result
+    overlay.prob_sum.clear();
+    overlay.cover.clear();
+    overlay.on_votes.clear();
+    if (len == 0) continue;  // empty: all-zero result
 
     const int64_t grid = data::GridWindowCount(len, l, stride);
     const bool tail = data::GridLeavesTail(len, l, stride);
     result.windows_full = len < l ? 1 : grid + (tail ? 1 : 0);
-
-    int32_t main_feed = -1;
-    for (int64_t k = state->grid_windows; k < grid; ++k) {
-      if (main_feed < 0) {
-        main_feed = static_cast<int32_t>(feed.size());
-        feed.push_back(data::SeriesView(state->series));
-        feed_state.push_back(static_cast<int32_t>(i));
-        feed_overlay.push_back(0);
+    if (acc.grid_windows < grid) {
+      const int32_t f = static_cast<int32_t>(feed.size());
+      for (int64_t k = acc.grid_windows; k < grid; ++k) {
+        refs.push_back(WindowRef{f, k * stride});
       }
-      refs.push_back(WindowRef{main_feed, k * stride});
+      feed.push_back(series);
+      targets.push_back(FeedTarget{i, false});
+      acc.grid_windows = grid;
     }
-    state->grid_windows = grid;
-
-    if (len < l) {
-      // Still shorter than one window: the whole series rides a single
-      // left-zero-padded overlay window, exactly as PrepareSeries pads a
-      // short one-shot scan.
-      overlay.active = true;
-      overlay.offset = len - l;  // pad occupies series coords [offset, 0)
-      overlay.padded.assign(static_cast<size_t>(l), 0.0f);
-      std::copy(state->series.begin(), state->series.end(),
-                overlay.padded.begin() + static_cast<size_t>(l - len));
-      refs.push_back(WindowRef{static_cast<int32_t>(feed.size()), 0});
-      feed.push_back(data::SeriesView(overlay.padded));
-      feed_state.push_back(static_cast<int32_t>(i));
-      feed_overlay.push_back(1);
-    } else if (tail) {
-      overlay.active = true;
-      overlay.offset = len - l;
-      if (main_feed < 0) {
-        main_feed = static_cast<int32_t>(feed.size());
-        feed.push_back(data::SeriesView(state->series));
-        feed_state.push_back(static_cast<int32_t>(i));
-        feed_overlay.push_back(0);
+    if (len < l || tail) {
+      data::SeriesView end_series = series;
+      if (len < l) {
+        // A series shorter than one window rides a single window
+        // left-padded with zeros (the stream's missing-reading fill), so
+        // short households still get real model predictions.
+        overlay.series.assign(static_cast<size_t>(l - len), 0.0f);
+        overlay.series.insert(overlay.series.end(), series.begin(),
+                              series.end());
+        end_series = data::SeriesView(overlay.series);
       }
-      refs.push_back(WindowRef{main_feed, len - l});
-    }
-    if (overlay.active) {
+      refs.push_back(WindowRef{static_cast<int32_t>(feed.size()),
+                               end_series.size() - l});
+      feed.push_back(end_series);
+      targets.push_back(FeedTarget{i, true});
       overlay.prob_sum.assign(static_cast<size_t>(l), 0.0f);
       overlay.cover.assign(static_cast<size_t>(l), 0);
       overlay.on_votes.assign(static_cast<size_t>(l), 0);
     }
   }
 
-  // Feed phase: every session's new windows through shared GEMM batches.
-  // A group of tail-sized appends runs a handful of windows per session,
-  // so cross-session filling is what keeps the batches from running
-  // nearly empty.
+  // Feed and vote: every series' windows through shared GEMM batches —
+  // batches fill across series boundaries, so small households and
+  // tail-sized appends do not mean nearly empty batches.
   double seconds = 0.0;
   if (!refs.empty()) {
     MultiWindowStream stream(std::move(feed), options_.stream,
@@ -276,85 +181,54 @@ std::vector<ScanResult> BatchRunner::AppendScanMany(
     int64_t b = 0;
     while ((b = stream.NextBatch(&batch_, &batch_refs_)) > 0) {
       core::LocalizationResult loc = localizer_.Localize(batch_);
-      StitchAppendBatch(loc, batch_refs_, b, states, feed_state,
-                        feed_overlay, &results);
+      for (int64_t w = 0; w < b; ++w) {
+        const WindowRef ref = batch_refs_[static_cast<size_t>(w)];
+        const FeedTarget target = targets[static_cast<size_t>(ref.series)];
+        SessionScanState& acc =
+            target.overlay ? overlays_[target.series] : *votes[target.series];
+        const int64_t base = target.overlay ? 0 : ref.offset;
+        const float p = loc.probabilities.at(w);
+        for (int64_t t = 0; t < l; ++t) {
+          const size_t s = static_cast<size_t>(base + t);
+          acc.prob_sum[s] += p;
+          ++acc.cover[s];
+          if (loc.status.at2(w, t) > 0.5f) ++acc.on_votes[s];
+        }
+        ++results[target.series].windows;
+      }
     }
     seconds = watch.ElapsedSeconds();
   }
 
+  // Finalize: grid votes first, the overlay last — ascending window
+  // order, whatever the chunking of appends, so the float sums are
+  // bit-identical across every way of reaching the same series. The pass
+  // was shared, so each result reports its wall time (see ScanResult).
   for (size_t i = 0; i < n; ++i) {
-    results[i].seconds = seconds;
-    FinalizeAppend(*states[i], overlays_[i], &results[i]);
-  }
-  return results;
-}
-
-void BatchRunner::StitchAppendBatch(
-    const core::LocalizationResult& loc, const std::vector<WindowRef>& refs,
-    int64_t batch, const std::vector<SessionScanState*>& states,
-    const std::vector<int32_t>& feed_state,
-    const std::vector<uint8_t>& feed_overlay,
-    std::vector<ScanResult>* results) {
-  const int64_t l = options_.stream.window_length;
-  for (int64_t i = 0; i < batch; ++i) {
-    const WindowRef ref = refs[static_cast<size_t>(i)];
-    const size_t si =
-        static_cast<size_t>(feed_state[static_cast<size_t>(ref.series)]);
-    SessionScanState& state = *states[si];
-    OverlayState& overlay = overlays_[si];
-    // A tail ref is distinguishable from every grid ref by offset alone:
-    // the tail exists only when len - l is NOT a stride multiple, and
-    // grid offsets always are. Pad windows feed from their own buffer.
-    const bool to_overlay =
-        feed_overlay[static_cast<size_t>(ref.series)] != 0 ||
-        (overlay.active && overlay.offset >= 0 &&
-         ref.offset == overlay.offset);
-    const float p = loc.probabilities.at(i);
-    if (to_overlay) {
-      for (int64_t t = 0; t < l; ++t) {
-        overlay.prob_sum[static_cast<size_t>(t)] += p;
-        ++overlay.cover[static_cast<size_t>(t)];
-        if (loc.status.at2(i, t) > 0.5f) {
-          ++overlay.on_votes[static_cast<size_t>(t)];
-        }
-      }
-    } else {
-      for (int64_t t = 0; t < l; ++t) {
-        const size_t s = static_cast<size_t>(ref.offset + t);
-        state.prob_sum[s] += p;
-        ++state.cover[s];
-        if (loc.status.at2(i, t) > 0.5f) ++state.on_votes[s];
-      }
-    }
-    ++(*results)[si].windows;
-  }
-}
-
-void BatchRunner::FinalizeAppend(const SessionScanState& state,
-                                 const OverlayState& overlay,
-                                 ScanResult* result) {
-  const int64_t len = state.readings();
-  if (len == 0) return;
-  const int64_t l = options_.stream.window_length;
-  // Persistent grid votes first, overlay last — the order a from-scratch
-  // stitch visits the same windows, so the float sums are bit-identical.
-  for (int64_t t = 0; t < len; ++t) {
-    float p = state.prob_sum[static_cast<size_t>(t)];
-    int32_t c = state.cover[static_cast<size_t>(t)];
-    int32_t on = state.on_votes[static_cast<size_t>(t)];
-    if (overlay.active) {
-      const int64_t j = t - overlay.offset;
-      if (j >= 0 && j < l) {
+    ScanResult& result = results[i];
+    result.seconds = seconds;
+    const int64_t len = views[i].size();
+    if (len == 0) continue;
+    const SessionScanState& acc = *votes[i];
+    const SessionScanState& overlay = overlays_[i];
+    for (int64_t t = 0; t < len; ++t) {
+      const size_t s = static_cast<size_t>(t);
+      float p = acc.prob_sum[s];
+      int32_t c = acc.cover[s];
+      int32_t on = acc.on_votes[s];
+      const int64_t j = t - (len - l);
+      if (j >= 0 && !overlay.cover.empty()) {
         p += overlay.prob_sum[static_cast<size_t>(j)];
         c += overlay.cover[static_cast<size_t>(j)];
         on += overlay.on_votes[static_cast<size_t>(j)];
       }
+      if (c == 0) continue;
+      result.detection.at(t) = p / static_cast<float>(c);
+      result.status.at(t) = 2 * on > c ? 1.0f : 0.0f;
     }
-    if (c == 0) continue;
-    result->detection.at(t) = p / static_cast<float>(c);
-    result->status.at(t) = 2 * on > c ? 1.0f : 0.0f;
+    FinalizePower(views[i], &result);
   }
-  FinalizePower(state.series, result);
+  return results;
 }
 
 ScanResult BatchRunner::AppendScan(SessionScanState* state,

@@ -45,23 +45,24 @@ struct ScanResult {
   }
 };
 
-/// Persisted stitch state of one streaming household: everything an
-/// incremental rescan needs to extend the household's result without
-/// re-feeding committed windows. Owned by serve::Session (or any caller
-/// driving AppendScan directly); BatchRunner only reads and extends it,
-/// so state created by one runner can be appended to by another — the
-/// per-window forward results it caches votes from are replica- and
-/// batch-composition-invariant.
+/// Stitch state of one household: its grid vote accumulators plus, for a
+/// streaming session, the committed series they vote on. Owned by
+/// serve::Session (or any caller driving AppendScan directly); BatchRunner
+/// only reads and extends it, so state created by one runner can be
+/// appended to by another — the per-window forward results it caches
+/// votes from are replica- and batch-composition-invariant. A one-shot
+/// Scan runs the same pass over a fresh state whose `series` stays empty,
+/// because the caller's view is borrowed instead.
 ///
 /// The accumulators hold STRIDE-GRID window votes only. Grid windows
 /// never move once committed (growing a series only appends offsets),
 /// while the end-aligned tail window — and the zero-padded window of a
 /// series still shorter than one window — depends on the current series
-/// end, so every append recomputes it into a transient overlay that is
-/// summed after the grid votes. That reproduces a from-scratch stitch's
-/// accumulation order (grid windows ascending, tail last) bit for bit,
-/// which is what makes incremental results bitwise-identical to a full
-/// rescan of the concatenated series.
+/// end, so every pass recomputes it into a transient overlay that is
+/// summed after the grid votes. Every scan thus accumulates grid windows
+/// ascending and the end window last, whatever the chunking of appends,
+/// which is what makes incremental results bitwise-identical to a
+/// one-shot scan of the concatenated series.
 struct SessionScanState {
   std::vector<float> series;      ///< committed aggregate readings (owned).
   int64_t grid_windows = 0;       ///< grid windows already accumulated.
@@ -82,13 +83,18 @@ struct SessionScanState {
 /// of window masks, and power the §IV-C estimate over the voted status
 /// (forced to 0 at missing readings, which have no observed aggregate).
 ///
-/// The scan is two phases. Feed: windows stream through the model in
-/// shared GEMM batches (MultiWindowStream). Stitch: each window's votes
-/// accumulate into its own series' per-timestamp buffers, which finalize
-/// independently. Because per-window forward results do not depend on
-/// which other windows share a batch, ScanMany can coalesce windows from
-/// several series into one forward pass and still return, for every
-/// series, bitwise-identical results to a lone Scan of it.
+/// Every scan is one pass. Plan: the grid windows a series' accumulators
+/// have not voted on yet, then its end-aligned tail or pad window. Feed:
+/// those windows stream through the model in shared GEMM batches
+/// (MultiWindowStream). Vote: each window's votes accumulate into its own
+/// series' grid accumulators, or into the transient overlay for the end
+/// window. Finalize: grid votes first, overlay last. A one-shot scan is
+/// the pass over fresh scratch accumulators; an append is the pass over a
+/// session's persisted ones. Because per-window forward results do not
+/// depend on which other windows share a batch, ScanMany and
+/// AppendScanMany can coalesce windows from several series into one
+/// forward pass and still return, for every series, bitwise-identical
+/// results to a lone Scan of it.
 class BatchRunner {
  public:
   /// \p ensemble is borrowed and must outlive the runner.
@@ -142,80 +148,28 @@ class BatchRunner {
   /// configuration and must reject bad ones instead of aborting.
   static Status ValidateOptions(const BatchRunnerOptions& options);
 
-  const BatchRunnerOptions& options() const { return options_; }
-
  private:
-  /// Per-series stitch state of one scan (phase 2 accumulators).
-  struct SeriesState {
-    int64_t len = 0;  ///< original series length.
-    int64_t pad = 0;  ///< synthetic left-pad of a short series.
-    /// Left-padded copy of a short series; unused when len >= window.
-    std::vector<float> padded;
-    std::vector<float> prob_sum;     ///< per-timestamp probability sum.
-    std::vector<int32_t> cover;      ///< windows covering each timestamp.
-    std::vector<int32_t> on_votes;   ///< ON votes per timestamp.
-  };
+  /// The one stitch pass behind every scan: plans, feeds, votes and
+  /// finalizes views[i] against votes[i], whose accumulators are sized to
+  /// views[i] and already hold grid windows [0, votes[i]->grid_windows).
+  std::vector<ScanResult> StitchPass(
+      const std::vector<data::SeriesView>& views,
+      const std::vector<SessionScanState*>& votes);
 
-  /// Prepares states_[i] for \p series: result tensors, short-series pad,
-  /// zeroed vote buffers. Returns the view the feed phase should window
-  /// (over the padded copy for short series, over the caller's backing
-  /// otherwise), or an empty view when the series is empty and
-  /// contributes no windows.
-  data::SeriesView PrepareSeries(data::SeriesView series, SeriesState* state,
-                                 ScanResult* result);
-
-  /// Folds one localized batch into the owning series' vote buffers.
-  /// \p feed_to_state maps MultiWindowStream series indices to states_.
-  void StitchBatch(const core::LocalizationResult& loc,
-                   const std::vector<WindowRef>& refs, int64_t batch,
-                   const std::vector<int32_t>& feed_to_state,
-                   std::vector<ScanResult>* results);
-
-  /// Turns accumulated votes into the per-timestamp detection/status/power
-  /// series of \p result, dropping any synthetic pad.
-  void FinalizeSeries(data::SeriesView aggregate_watts,
-                      const SeriesState& state, ScanResult* result);
-
-  /// Transient accumulators for the end-dependent window of one append
-  /// (the tail or short-series pad window), kept out of the persisted
-  /// grid accumulators because the series end moves on every append.
-  struct OverlayState {
-    bool active = false;  ///< this append has a tail or pad window.
-    /// Series coordinate of overlay index 0; negative for a pad window
-    /// (the synthetic zeros occupy [offset, 0)).
-    int64_t offset = 0;
-    std::vector<float> padded;    ///< padded feed copy when len < window.
-    std::vector<float> prob_sum;  ///< window-length vote buffers.
-    std::vector<int32_t> cover;
-    std::vector<int32_t> on_votes;
-  };
-
-  /// Folds one localized batch of an append into the owning session's
-  /// persistent grid accumulators or its transient overlay.
-  void StitchAppendBatch(const core::LocalizationResult& loc,
-                         const std::vector<WindowRef>& refs, int64_t batch,
-                         const std::vector<SessionScanState*>& states,
-                         const std::vector<int32_t>& feed_state,
-                         const std::vector<uint8_t>& feed_overlay,
-                         std::vector<ScanResult>* results);
-
-  /// Sums persistent grid votes and the overlay into \p result's
-  /// detection/status series (overlay last, like a from-scratch stitch).
-  void FinalizeAppend(const SessionScanState& state,
-                      const OverlayState& overlay, ScanResult* result);
-
-  /// §IV-C power estimation over \p result's stitched status — shared by
-  /// one-shot and incremental finalization so both force power to 0 at
-  /// missing readings the same way.
+  /// §IV-C power estimation over \p result's stitched status, forcing
+  /// power to 0 at missing readings.
   void FinalizePower(data::SeriesView aggregate_watts, ScanResult* result);
 
-  core::CamalEnsemble* ensemble_;
   core::CamalLocalizer localizer_;
   BatchRunnerOptions options_;
   // Scan scratch reused across calls (one scan stitches hundreds of
   // batches; per-batch allocation churn showed up in serving profiles).
-  std::vector<SeriesState> states_;
-  std::vector<OverlayState> overlays_;  ///< append scratch, like states_.
+  std::vector<SessionScanState> scratch_;  ///< one-shot accumulators.
+  /// Per-series votes of the end-aligned window (tail or short-series
+  /// pad), window-length: index j covers timestamp len - window_length + j.
+  /// `series` holds the pad window's zero-padded feed copy; the vote
+  /// buffers are empty when the series has no end window.
+  std::vector<SessionScanState> overlays_;
   std::vector<WindowRef> batch_refs_;
   nn::Tensor batch_;
 };

@@ -211,8 +211,9 @@ Result<std::vector<SessionSnapshot>> ReadSessionCheckpoint(
 
   PayloadReader reader(file.data() + header_bytes, header.payload_bytes,
                        path);
+  // No reserve from session_count: the header sits outside the CRC, so
+  // the count is untrusted; the loop fails on the first missing record.
   std::vector<SessionSnapshot> sessions;
-  sessions.reserve(header.session_count);
   for (uint32_t i = 0; i < header.session_count; ++i) {
     SessionSnapshot snapshot;
     uint32_t id_len = 0;

@@ -327,8 +327,6 @@ class Service {
 
   ServiceStats stats() const;
 
-  const ServiceOptions& options() const { return options_; }
-
  private:
   enum class State { kIdle, kRunning, kStopped };
 

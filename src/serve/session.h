@@ -55,7 +55,6 @@ class Session : public std::enable_shared_from_this<Session> {
  public:
   const std::string& id() const { return id_; }
   const std::string& appliance() const { return appliance_; }
-  const SessionOptions& options() const { return options_; }
 
   /// Readings committed so far — appends still parked or in flight are
   /// not counted until their scan finishes.

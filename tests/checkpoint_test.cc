@@ -295,6 +295,20 @@ TEST(CheckpointFormatTest, AccumulatorLengthMismatchIsRejected) {
   }
 }
 
+TEST(CheckpointFormatTest, HugeSessionCountIsRejected) {
+  // The payload CRC does not cover the header, so a corrupt session count
+  // reaches the record loop; it must fail on the first missing record
+  // instead of sizing an allocation from the count.
+  const std::string path = TestPath("huge_count.ckpt");
+  ASSERT_TRUE(serve::WriteSessionCheckpoint(path, {}).ok());
+  std::string bytes = ReadRawBytes(path);
+  for (size_t i = 8; i < 12; ++i) bytes[i] = '\xFF';  // session count
+  WriteRawBytes(path, bytes);
+  auto restored = serve::ReadSessionCheckpoint(path);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+}
+
 // ---------------------------------------------------------------------
 // Service-level crash safety: checkpoint, kill, restore, resume.
 // ---------------------------------------------------------------------

@@ -16,6 +16,7 @@
 #include "common/rng.h"
 #include "core/ensemble.h"
 #include "core/inception.h"
+#include "core/localizer.h"
 #include "core/resnet.h"
 #include "data/time_series.h"
 #include "data/window.h"
@@ -419,11 +420,12 @@ TEST(BatchRunnerTest, ScanManyMatchesLoneScansBitwise) {
     cohort.push_back(std::move(series));
   }
   std::vector<data::SeriesView> views(cohort.begin(), cohort.end());
+  views.push_back(views[1]);  // entries may repeat: one view, twice
 
   std::vector<serve::ScanResult> group = coalesced.ScanMany(views);
-  ASSERT_EQ(group.size(), cohort.size());
-  for (size_t i = 0; i < cohort.size(); ++i) {
-    serve::ScanResult expected = sequential.Scan(cohort[i]);
+  ASSERT_EQ(group.size(), views.size());
+  for (size_t i = 0; i < views.size(); ++i) {
+    serve::ScanResult expected = sequential.Scan(views[i]);
     ASSERT_EQ(group[i].windows, expected.windows) << "series " << i;
     ASSERT_EQ(group[i].detection.numel(), expected.detection.numel());
     for (int64_t t = 0; t < expected.detection.numel(); ++t) {
@@ -447,6 +449,91 @@ TEST(BatchRunnerTest, ScanManyMatchesLoneScansBitwise) {
       EXPECT_EQ(second[i].power.at(t), expected.power.at(t));
     }
   }
+}
+
+TEST(BatchRunnerTest, StitchMatchesPerWindowOracleBitwise) {
+  // The vote itself, pinned by an oracle that shares no code with the
+  // runner: every window is localized alone on a (1, 1, L) tensor, its
+  // offsets listed here (stride grid, then the end tail when the grid
+  // leaves one), and its votes summed in that order. Lone scans and
+  // sessions fed in uneven chunks must both land on the oracle's bits.
+  core::CamalEnsemble ensemble = RandomEnsemble(56);
+  core::CamalLocalizer localizer(&ensemble);
+  const int64_t l = 16, stride = 8;
+  Rng rng(57);
+  std::vector<std::vector<float>> cohort;
+  for (int64_t len : {9, 32, 70, 121}) {
+    std::vector<float> series(static_cast<size_t>(len));
+    for (auto& v : series) v = static_cast<float>(rng.Uniform(0.0, 3000.0));
+    if (len == 70) {
+      for (size_t t = 0; t < series.size(); t += 7) series[t] = std::nanf("");
+    }
+    cohort.push_back(std::move(series));
+  }
+
+  int64_t split_votes = 0;  // timestamps where 2 * on == cover > 0
+  for (int64_t batch : {1, 4, 32}) {
+    serve::BatchRunnerOptions opt;
+    opt.stream = SmallStream(l, stride, batch);
+    opt.appliance_avg_power_w = 650.0f;
+    serve::BatchRunner runner(&ensemble, opt);
+    for (const std::vector<float>& series : cohort) {
+      const int64_t len = static_cast<int64_t>(series.size());
+      // A short series is scanned as one left-zero-padded window.
+      const int64_t pad = std::max<int64_t>(l - len, 0);
+      std::vector<float> padded(static_cast<size_t>(pad), 0.0f);
+      padded.insert(padded.end(), series.begin(), series.end());
+      const int64_t n = len + pad;
+      std::vector<int64_t> offsets;
+      for (int64_t off = 0; off + l <= n; off += stride) offsets.push_back(off);
+      if ((n - l) % stride != 0) offsets.push_back(n - l);
+
+      std::vector<float> sum(static_cast<size_t>(n), 0.0f);
+      std::vector<int32_t> cover(static_cast<size_t>(n), 0);
+      std::vector<int32_t> on(static_cast<size_t>(n), 0);
+      for (int64_t off : offsets) {
+        nn::Tensor window({1, 1, l});
+        for (int64_t t = 0; t < l; ++t) {
+          const float v = padded[static_cast<size_t>(off + t)];
+          window.at(t) =
+              data::IsMissing(v) ? 0.0f : v * (1.0f / opt.stream.input_scale);
+        }
+        core::LocalizationResult loc = localizer.Localize(window);
+        for (int64_t t = 0; t < l; ++t) {
+          const size_t s = static_cast<size_t>(off + t);
+          sum[s] += loc.probabilities.at(0);
+          ++cover[s];
+          if (loc.status.at2(0, t) > 0.5f) ++on[s];
+        }
+      }
+
+      serve::ScanResult lone = runner.Scan(series);
+      EXPECT_EQ(lone.windows, static_cast<int64_t>(offsets.size()));
+      serve::SessionScanState state;
+      serve::ScanResult streamed;
+      for (int64_t from = 0; from < len; from += 11) {
+        const int64_t count = std::min<int64_t>(11, len - from);
+        streamed = runner.AppendScan(
+            &state, data::SeriesView(series.data() + from, count));
+      }
+      for (const serve::ScanResult* result : {&lone, &streamed}) {
+        ASSERT_EQ(result->windows_full, static_cast<int64_t>(offsets.size()))
+            << "len " << len << " batch " << batch;
+        for (int64_t t = 0; t < len; ++t) {
+          const size_t s = static_cast<size_t>(t + pad);
+          ASSERT_GT(cover[s], 0);
+          if (on[s] > 0 && 2 * on[s] == cover[s]) ++split_votes;
+          EXPECT_EQ(result->detection.at(t),
+                    sum[s] / static_cast<float>(cover[s]))
+              << "len " << len << " batch " << batch << " t " << t;
+          EXPECT_EQ(result->status.at(t), 2 * on[s] > cover[s] ? 1.0f : 0.0f)
+              << "len " << len << " batch " << batch << " t " << t;
+        }
+      }
+    }
+  }
+  // Split votes must occur, or the majority rule goes unchecked.
+  EXPECT_GT(split_votes, 0);
 }
 
 std::vector<std::vector<float>> SyntheticCohort(int households,
