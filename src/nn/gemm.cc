@@ -21,7 +21,8 @@ bool HasAvx2Gemm() {
 
 bool HasAvx512Gemm() {
 #if defined(CAMAL_GEMM_HAVE_AVX512)
-  static const bool supported = __builtin_cpu_supports("avx512f");
+  static const bool supported =
+      __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("fma");
   return supported;
 #else
   return false;

@@ -18,9 +18,9 @@ namespace camal::nn {
 /// epilogue is what lets Conv -> BatchNorm -> ReLU blocks collapse into
 /// one pass over the output.
 ///
-/// Dispatches at runtime to an AVX2+FMA micro-kernel when the host CPU
-/// supports it (compiled separately; see gemm_avx2.cc), otherwise to a
-/// portable register-blocked kernel.
+/// Dispatches at runtime to an AVX-512+FMA or AVX2+FMA kernel when the
+/// host CPU supports it (compiled separately; see gemm_avx512.cc and
+/// gemm_avx2.cc), otherwise to a portable register-blocked kernel.
 void GemmEpilogue(const float* a, const float* b, float* c, int64_t m,
                   int64_t k, int64_t n, const float* row_scale,
                   const float* row_shift, bool relu);
@@ -68,17 +68,18 @@ inline int64_t ConvGemmOutputLength(const ConvGemmParams& p) {
 
 /// True when the tile kernels of every dispatch tier can fuse a pool of
 /// this window (it must divide the narrowest tile width). Unsupported
-/// windows still compute correctly but run on the scalar edge path, so
+/// windows still compute correctly but change the tile decomposition, so
 /// callers should fuse only when this holds.
 bool ConvGemmSupportsPool(int64_t pool_size);
 
 /// Strided/dilated 1-D convolution of one sample as an implicit-im2col
 /// GEMM with the same epilogue as GemmEpilogue plus an optional fused
 /// non-overlapping pool (see ConvGemmParams). The column matrix is read
-/// directly out of xpad instead of being materialized. Per output scalar,
-/// k accumulates in (ci, kk) order in every tile/edge/dispatch variant, so
-/// results are independent of batch composition and tile placement.
-/// Same runtime CPU dispatch as GemmEpilogue.
+/// directly out of xpad instead of being materialized. Each output is one
+/// multiply-add chain over (ci, kk) from zero in every tile of a dispatch
+/// tier — fused on AVX2 and AVX-512, unfused on the portable tier on
+/// baseline x86-64 — so results are independent of batch composition and
+/// tile placement. Same runtime CPU dispatch as GemmEpilogue.
 void ConvGemmEpilogue(const float* w, const float* xpad, float* y,
                       const ConvGemmParams& p);
 
@@ -111,7 +112,8 @@ void GemmEpilogueAvx512(const float* a, const float* b, float* c, int64_t m,
 /// True when the AVX2 kernel was compiled in and the CPU supports it.
 bool HasAvx2Gemm();
 
-/// True when the AVX-512 kernel was compiled in and the CPU supports it.
+/// True when the AVX-512 kernel was compiled in and the CPU supports
+/// AVX-512F and FMA.
 bool HasAvx512Gemm();
 
 }  // namespace internal

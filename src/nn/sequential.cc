@@ -16,12 +16,19 @@ Tensor Sequential::Forward(const Tensor& x) {
 }
 
 Tensor Sequential::ForwardInference(const Tensor& x) {
-  Tensor h = x;
+  // Layers read the caller's tensor in place: `in` points at x until the
+  // first layer output lands in h, which every later layer then replaces.
+  Tensor h;
+  const Tensor* in = &x;
   for (size_t i = 0; i < layers_.size();) {
-    // ReLU runs in place: h is always a private copy inside this loop, so
-    // the clamp needs no extra tensor (the training path must keep the
-    // pre-activation for Backward; inference does not).
+    // ReLU runs in place on h (the training path must keep the
+    // pre-activation for Backward; inference does not). Only a ReLU that
+    // would clamp the caller's x copies it first.
     if (dynamic_cast<ReLU*>(layers_[i].get()) != nullptr) {
+      if (in == &x) {
+        h = x;
+        in = &h;
+      }
       float* d = h.data();
       for (int64_t j = 0; j < h.numel(); ++j) {
         if (d[j] < 0.0f) d[j] = 0.0f;
@@ -33,7 +40,8 @@ Tensor Sequential::ForwardInference(const Tensor& x) {
     auto* residual = dynamic_cast<Residual*>(layers_[i].get());
     if (residual != nullptr && i + 1 < layers_.size() &&
         dynamic_cast<ReLU*>(layers_[i + 1].get()) != nullptr) {
-      h = residual->ForwardInferenceRelu(h);
+      h = residual->ForwardInferenceRelu(*in);
+      in = &h;
       i += 2;
       continue;
     }
@@ -81,15 +89,18 @@ Tensor Sequential::ForwardInference(const Tensor& x) {
       }
       if (have_bn || fuse_relu || pool != ConvPool::kNone) {
         h = conv->ForwardInferenceFused(
-            h, have_bn ? scale.data() : nullptr,
+            *in, have_bn ? scale.data() : nullptr,
             have_bn ? shift.data() : nullptr, fuse_relu, pool, pool_size);
+        in = &h;
         i = next;
         continue;
       }
     }
-    h = layers_[i]->ForwardInference(h);
+    h = layers_[i]->ForwardInference(*in);
+    in = &h;
     ++i;
   }
+  if (in == &x) return x;  // no layers
   return h;
 }
 

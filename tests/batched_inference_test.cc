@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/ensemble.h"
@@ -265,6 +270,215 @@ TEST(FusedPoolTest, KernelHandlesNonDividingWindowsToRounding) {
   }
 }
 
+// Scalar oracle for every conv dispatch tier. Each output is one
+// multiply-add chain over (ci, kk) from zero — fused on the AVX2 and
+// AVX-512 tiers, a multiply then an add on the portable tier — then
+// s * acc + t, the ReLU clamp and a left-to-right pool. Path-vs-path
+// tests cannot see a change of accumulation order; these bits can.
+
+// GCC contracts a * b + c into an FMA only when optimizing, so an
+// unoptimized build promises no fusion on the SIMD tiers.
+#if defined(__OPTIMIZE__)
+constexpr bool kSimdTiersFuse = true;
+#else
+constexpr bool kSimdTiersFuse = false;
+#endif
+
+// The portable tier is built without FMA on baseline x86-64; elsewhere
+// the compiler may contract its chain.
+#if defined(__x86_64__) && !defined(__FMA__)
+constexpr bool kPortableTierUnfused = true;
+#else
+constexpr bool kPortableTierUnfused = false;
+#endif
+
+using ConvKernel = void (*)(const float*, const float*, float*,
+                            const nn::ConvGemmParams&);
+
+struct OracleCase {
+  int64_t cin, cout, kernel, lout, stride, dilation;
+  nn::ConvPool pool;
+  int64_t pool_size;
+  bool scale, shift, relu;
+};
+
+std::vector<OracleCase> OracleCases() {
+  using nn::ConvPool;
+  std::vector<OracleCase> cases;
+  // The served ResNet shapes at window 128: full tiles only.
+  for (int64_t cin : {1, 16, 32}) {
+    for (int64_t cout : {16, 32}) {
+      for (int64_t k : {1, 3, 5, 9, 15}) {
+        cases.push_back({cin, cout, k, 128, 1, 1, ConvPool::kNone, 1, false,
+                         false, false});
+        cases.push_back({cin, cout, k, 128, 1, 1, ConvPool::kNone, 1, true,
+                         true, true});
+      }
+    }
+  }
+  // Partial tiles of every width class on 16- and 32-wide tiles, 1-row
+  // remainder bands (cout 5 and 9), and stride 2 with dilation 2; the
+  // scale/shift/ReLU epilogue cycles through all eight mixes.
+  int mix = 0;
+  for (int64_t lout : {8, 9, 12, 17, 24, 37, 40, 41, 63}) {
+    for (int64_t cout : {5, 9, 16}) {
+      for (int64_t cin : {1, 16}) {
+        const int64_t k = cin == 1 ? 5 : 9;
+        for (int64_t step : {1, 2}) {
+          const bool scale = mix & 1, shift = mix & 2, relu = mix & 4;
+          mix = (mix + 1) % 8;
+          cases.push_back({cin, cout, k, lout, step, step, ConvPool::kNone, 1,
+                           scale, shift, relu});
+        }
+      }
+    }
+  }
+  // Fused max and average pools, including strided ones.
+  for (ConvPool pool : {ConvPool::kMax, ConvPool::kAvg}) {
+    for (int64_t pw : {2, 4, 8}) {
+      for (int64_t lout : {40, 41, 63, 128}) {
+        for (int64_t cout : {9, 16}) {
+          const int64_t step = lout == 41 ? 2 : 1;
+          cases.push_back({16, cout, 9, lout, step, step, pool, pw, true, true,
+                           pool == ConvPool::kMax});
+        }
+      }
+    }
+  }
+  return cases;
+}
+
+float MulAdd(float a, float b, float c, bool fused) {
+  if (fused) return std::fma(a, b, c);
+  const float product = a * b;
+  return product + c;
+}
+
+std::vector<float> ConvOracle(const std::vector<float>& w,
+                              const std::vector<float>& xpad,
+                              const nn::ConvGemmParams& p, bool fused) {
+  const int64_t lout = nn::ConvGemmOutputLength(p);
+  const int64_t pw = p.pool == nn::ConvPool::kNone ? 1 : p.pool_size;
+  const int64_t lpool = lout / pw;
+  std::vector<float> y(static_cast<size_t>(p.cout * lpool));
+  std::vector<float> row(static_cast<size_t>(lout));
+  for (int64_t co = 0; co < p.cout; ++co) {
+    const float s = p.row_scale != nullptr ? p.row_scale[co] : 1.0f;
+    const float t = p.row_shift != nullptr ? p.row_shift[co] : 0.0f;
+    for (int64_t j = 0; j < lout; ++j) {
+      float acc = 0.0f;
+      for (int64_t ci = 0; ci < p.cin; ++ci) {
+        for (int64_t kk = 0; kk < p.kernel; ++kk) {
+          const float wv = w[(co * p.cin + ci) * p.kernel + kk];
+          const float xv = xpad[ci * p.lpad + j * p.stride + kk * p.dilation];
+          acc = MulAdd(wv, xv, acc, fused);
+        }
+      }
+      float v = MulAdd(s, acc, t, fused);
+      if (p.relu && v < 0.0f) v = 0.0f;
+      row[j] = v;
+    }
+    for (int64_t g = 0; g < lpool; ++g) {
+      const float* win = row.data() + g * pw;
+      float out = win[0];
+      if (p.pool == nn::ConvPool::kMax) {
+        for (int64_t r = 1; r < pw; ++r) {
+          if (win[r] > out) out = win[r];
+        }
+      } else if (p.pool == nn::ConvPool::kAvg) {
+        float sum = 0.0f;
+        for (int64_t r = 0; r < pw; ++r) sum += win[r];
+        out = sum * (1.0f / static_cast<float>(pw));
+      }
+      y[co * lpool + g] = out;
+    }
+  }
+  return y;
+}
+
+std::string Describe(const OracleCase& c) {
+  std::ostringstream os;
+  os << "cin=" << c.cin << " cout=" << c.cout << " k=" << c.kernel;
+  os << " lout=" << c.lout << " stride=" << c.stride;
+  os << " pool=" << static_cast<int>(c.pool) << "/" << c.pool_size;
+  return os.str();
+}
+
+uint32_t Bits(float f) {
+  uint32_t u = 0;
+  std::memcpy(&u, &f, sizeof(u));
+  return u;
+}
+
+void ExpectTierMatchesOracle(ConvKernel kernel, bool fused) {
+  Rng rng(61);
+  auto random = [&rng](int64_t n, double lo, double hi) {
+    std::vector<float> v(static_cast<size_t>(n));
+    for (float& f : v) f = static_cast<float>(rng.Uniform(lo, hi));
+    return v;
+  };
+  int64_t outputs = 0, mismatches = 0;
+  for (const OracleCase& c : OracleCases()) {
+    nn::ConvGemmParams p;
+    p.cout = c.cout;
+    p.cin = c.cin;
+    p.kernel = c.kernel;
+    p.stride = c.stride;
+    p.dilation = c.dilation;
+    // The widest padded length that still yields lout columns.
+    p.lpad = c.lout * c.stride + c.dilation * (c.kernel - 1);
+    p.pool = c.pool;
+    p.pool_size = c.pool_size;
+    p.relu = c.relu;
+    const std::vector<float> w = random(c.cout * c.cin * c.kernel, -1, 1);
+    const std::vector<float> xpad = random(c.cin * p.lpad, -1, 1);
+    const std::vector<float> scale = random(c.cout, 0.5, 1.5);
+    const std::vector<float> shift = random(c.cout, -0.5, 0.5);
+    p.row_scale = c.scale ? scale.data() : nullptr;
+    p.row_shift = c.shift ? shift.data() : nullptr;
+    ASSERT_EQ(nn::ConvGemmOutputLength(p), c.lout);
+    const std::vector<float> want = ConvOracle(w, xpad, p, fused);
+    std::vector<float> got(want.size());
+    kernel(w.data(), xpad.data(), got.data(), p);
+    int64_t bad = 0;
+    for (size_t i = 0; i < want.size(); ++i) {
+      if (Bits(got[i]) != Bits(want[i])) ++bad;
+    }
+    if (bad > 0 && mismatches == 0) {
+      ADD_FAILURE() << "first failing case: " << Describe(c);
+    }
+    mismatches += bad;
+    outputs += static_cast<int64_t>(want.size());
+  }
+  EXPECT_EQ(mismatches, 0) << mismatches << " of " << outputs
+                           << " outputs differ from the scalar chain";
+}
+
+TEST(ConvOracleTest, Avx512TierIsOneFusedChainPerOutput) {
+  if (!nn::internal::HasAvx512Gemm()) {
+    GTEST_SKIP() << "AVX-512 tier not available on this host";
+  }
+  if (!kSimdTiersFuse) GTEST_SKIP() << "unoptimized build: no FMA promise";
+  ExpectTierMatchesOracle(&nn::internal::ConvGemmEpilogueAvx512,
+                          /*fused=*/true);
+}
+
+TEST(ConvOracleTest, Avx2TierIsOneFusedChainPerOutput) {
+  if (!nn::internal::HasAvx2Gemm()) {
+    GTEST_SKIP() << "AVX2 tier not available on this host";
+  }
+  if (!kSimdTiersFuse) GTEST_SKIP() << "unoptimized build: no FMA promise";
+  ExpectTierMatchesOracle(&nn::internal::ConvGemmEpilogueAvx2, /*fused=*/true);
+}
+
+TEST(ConvOracleTest, PortableTierIsOneUnfusedChainPerOutput) {
+  if (!kPortableTierUnfused) {
+    GTEST_SKIP() << "portable tier may contract to FMA on this target";
+  }
+  ExpectTierMatchesOracle(&nn::internal::ConvGemmEpilogueGeneric,
+                          /*fused=*/false);
+}
+
 TEST(Conv1dInferenceTest, NoBiasAndSingleSample) {
   Rng rng(6);
   nn::Conv1dOptions opt;
@@ -311,6 +525,40 @@ TEST(LinearInferenceTest, AgreesWithForward) {
   nn::Linear linear(6, 3, /*bias=*/true, &rng);
   nn::Tensor x = RandomTensor({5, 6}, &rng);
   EXPECT_LT(MaxAbsDiff(linear.Forward(x), linear.ForwardInference(x)), 1e-6);
+}
+
+TEST(SequentialInferenceTest, LeadingReluLeavesCallerTensorUnchanged) {
+  // ForwardInference reads its input in place and clamps ReLUs in place,
+  // so a leading ReLU must clamp a copy, never the caller's tensor.
+  Rng rng(14);
+  nn::Conv1dOptions opt;
+  opt.in_channels = 2;
+  opt.out_channels = 3;
+  opt.kernel_size = 3;
+  opt.padding = 1;
+  nn::Sequential relu_conv;
+  relu_conv.Add(std::make_unique<nn::ReLU>());
+  relu_conv.Add(std::make_unique<nn::Conv1d>(opt, &rng));
+  nn::Sequential relu_only;
+  relu_only.Add(std::make_unique<nn::ReLU>());
+  relu_conv.SetTraining(false);
+  relu_only.SetTraining(false);
+  const nn::Tensor x = RandomTensor({2, 2, 9}, &rng);
+  const nn::Tensor before = x;
+  nn::Tensor clamped = relu_only.ForwardInference(x);
+  nn::Tensor conv_out = relu_conv.ForwardInference(x);
+  bool any_negative = false;
+  for (int64_t i = 0; i < x.numel(); ++i) {
+    any_negative = any_negative || before.at(i) < 0.0f;
+    EXPECT_EQ(Bits(x.at(i)), Bits(before.at(i))) << "index " << i;
+  }
+  EXPECT_TRUE(any_negative);
+  nn::Tensor reference = relu_only.Forward(x);
+  ASSERT_TRUE(clamped.SameShape(reference));
+  for (int64_t i = 0; i < x.numel(); ++i) {
+    EXPECT_EQ(Bits(clamped.at(i)), Bits(reference.at(i))) << "index " << i;
+  }
+  EXPECT_LT(MaxAbsDiff(conv_out, relu_conv.Forward(x)), 1e-5);
 }
 
 TEST(ResNetInferenceTest, LogitsAgreeWithTrainingForward) {
