@@ -159,8 +159,8 @@ int64_t ReadVmRssKb() {
 /// (one stride of samples), so the incremental path re-feeds only the
 /// window grid the new tail touches instead of rescanning the whole
 /// series. Reports steady-state append latency, resident memory at
-/// start/mid/end of the soak (per-session stitch state is the only thing
-/// that should grow, linearly and slowly), and the measured speedup of
+/// start/mid/end of the soak (which should stay flat: per-session stitch
+/// state is one window, whatever the history), and the measured speedup of
 /// incremental appends over from-scratch rescans of the same prefixes.
 ///
 /// The soak is OPEN-LOOP and charges latency from each append's intended

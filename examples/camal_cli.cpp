@@ -480,11 +480,13 @@ int CmdServe(const Args& args) {
 
   // Streaming mode (--session-chunk N): one serve::Session per household,
   // its aggregate replayed in N-sample deltas as if the meter reported
-  // live. Every append rescans only the windows the new tail touches, and
-  // the final result is bitwise-identical to the one-shot scan below.
+  // live. Every append rescans only the windows the new tail touches and
+  // returns the stretch of the result it changed; written in order, the
+  // appends' results rebuild the one-shot scan below bit for bit.
   const int64_t session_chunk = args.FlagInt("session-chunk", 0);
-  std::vector<std::future<Result<serve::ScanResult>>> futures;
-  futures.reserve(cohort.size());
+  // Per household: its one-shot scan, or its session's appends in order.
+  std::vector<std::vector<std::future<Result<serve::ScanResult>>>> futures;
+  futures.resize(cohort.size());
   std::vector<std::shared_ptr<serve::Session>> sessions;
   if (session_chunk > 0) {
     sessions.reserve(cohort.size());
@@ -501,17 +503,14 @@ int CmdServe(const Args& args) {
     for (size_t h = 0; h < cohort.size(); ++h) {
       const data::SeriesView series = cohort[h];
       const int64_t n = series.size();
-      std::future<Result<serve::ScanResult>> last;
       for (int64_t begin = 0; begin < n || begin == 0;
            begin += session_chunk) {
         const int64_t len = std::min(session_chunk, n - begin);
-        last = sessions[h]->AppendReadings(series.data() + begin, len);
+        futures[h].push_back(
+            sessions[h]->AppendReadings(series.data() + begin, len));
       }
-      // Only the final append's future is harvested: it covers the whole
-      // series, which is what the per-house report wants. The sessions
-      // close after the harvest — closing now would fail the parked
-      // appends behind the one in flight.
-      futures.push_back(std::move(last));
+      // The sessions close after the harvest — closing now would fail
+      // the parked appends behind the one in flight.
     }
   } else {
     // The async path end to end: submit every household, then harvest the
@@ -521,13 +520,24 @@ int CmdServe(const Args& args) {
       request.household_id = "house_" + std::to_string(house_ids[h]);
       request.appliance = appliance;
       request.series = cohort[h];
-      futures.push_back(service.Submit(std::move(request)));
+      futures[h].push_back(service.Submit(std::move(request)));
     }
   }
   double total_latency_s = 0.0;
   int64_t served = 0;
   for (size_t h = 0; h < cohort.size(); ++h) {
-    Result<serve::ScanResult> result = futures[h].get();
+    // Each result covers [from, from + T) of the household's timeline:
+    // writing them in order at their `from` rebuilds its whole status (a
+    // one-shot scan is the single result from 0).
+    Result<serve::ScanResult> result(Status::Internal("no scan ran"));
+    std::vector<float> status;
+    for (auto& future : futures[h]) {
+      result = future.get();
+      if (!result.ok()) break;
+      const nn::Tensor& part = result.value().status;
+      status.resize(static_cast<size_t>(result.value().from));
+      status.insert(status.end(), part.data(), part.data() + part.numel());
+    }
     if (!result.ok()) {
       std::printf("house %-3d: rejected: %s\n", house_ids[h],
                   result.status().ToString().c_str());
@@ -535,9 +545,7 @@ int CmdServe(const Args& args) {
     }
     const serve::ScanResult& scan = result.value();
     int64_t on_samples = 0;
-    for (int64_t t = 0; t < scan.status.numel(); ++t) {
-      on_samples += scan.status.at(t) > 0.5f ? 1 : 0;
-    }
+    for (float s : status) on_samples += s > 0.5f ? 1 : 0;
     // In streaming mode the harvested result is the LAST append: report
     // the windows covering the whole series (windows_full), not the
     // handful the incremental tail rescan actually fed.

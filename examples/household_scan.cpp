@@ -21,6 +21,45 @@
 #include "serve/service.h"
 #include "simulate/profiles.h"
 
+namespace {
+
+// A session append returns the stretch [from, len) of the household's
+// result its readings changed; every earlier timestamp keeps what an
+// earlier append returned. Writing each result at its `from` rebuilds
+// the whole series' result.
+struct Timeline {
+  std::vector<float> detection, status, power;
+
+  void Overlay(const camal::serve::ScanResult& part) {
+    Put(part.from, part.detection, &detection);
+    Put(part.from, part.status, &status);
+    Put(part.from, part.power, &power);
+  }
+
+  // Bitwise equal to \p want at every timestamp.
+  bool Matches(const camal::serve::ScanResult& want) const {
+    if (static_cast<int64_t>(detection.size()) != want.detection.numel()) {
+      return false;
+    }
+    for (int64_t t = 0; t < want.detection.numel(); ++t) {
+      const auto s = static_cast<size_t>(t);
+      if (detection[s] != want.detection.at(t)) return false;
+      if (status[s] != want.status.at(t)) return false;
+      if (power[s] != want.power.at(t)) return false;
+    }
+    return true;
+  }
+
+  // Writes \p values over \p out from index \p from on.
+  static void Put(int64_t from, const camal::nn::Tensor& values,
+                  std::vector<float>* out) {
+    out->resize(static_cast<size_t>(from));
+    out->insert(out->end(), values.data(), values.data() + values.numel());
+  }
+};
+
+}  // namespace
+
 int main() {
   using namespace camal;
   std::printf("Household scan: which appliances ran, and when?\n");
@@ -170,7 +209,8 @@ int main() {
 
   // Streaming epilogue: replay one household through a serve::Session in
   // live-meter-sized chunks. The incremental path rescans only the
-  // windows each new tail touches, yet the final result must be
+  // windows each new tail touches and returns only what it changed, yet
+  // the appends' results, rebuilt into one timeline, must be
   // bitwise-identical to the one-shot scan of the same series — the
   // streaming path and the batch path are one pipeline.
   {
@@ -195,32 +235,23 @@ int main() {
     const auto n = static_cast<int64_t>(house.aggregate.size());
     const int64_t chunk = std::max<int64_t>(int64_t{1}, n / 4);
     int64_t appends = 0;
-    Result<serve::ScanResult> streamed(Status::Internal("no append ran"));
+    Timeline streamed;
     for (int64_t begin = 0; begin < n; begin += chunk) {
-      streamed = session
-                     ->AppendReadings(house.aggregate.data() + begin,
-                                      std::min(chunk, n - begin))
-                     .get();
-      if (!streamed.ok()) {
+      const int64_t count = std::min(chunk, n - begin);
+      Result<serve::ScanResult> part =
+          session->AppendReadings(house.aggregate.data() + begin, count).get();
+      if (!part.ok()) {
         std::fprintf(stderr, "append: %s\n",
-                     streamed.status().ToString().c_str());
+                     part.status().ToString().c_str());
         return 1;
       }
+      streamed.Overlay(part.value());
       ++appends;
     }
-    bool identical =
-        streamed.value().detection.numel() == oneshot.value().detection.numel();
-    for (int64_t t = 0; identical && t < oneshot.value().detection.numel();
-         ++t) {
-      identical =
-          streamed.value().detection.at(t) ==
-              oneshot.value().detection.at(t) &&
-          streamed.value().status.at(t) == oneshot.value().status.at(t) &&
-          streamed.value().power.at(t) == oneshot.value().power.at(t);
-    }
+    const bool identical = streamed.Matches(oneshot.value());
     std::printf("streaming session (%s, house %d): %lld appends, %lld "
-                "readings, final result bitwise-identical to the one-shot "
-                "scan: %s\n",
+                "readings, appends' results rebuild the one-shot scan "
+                "bitwise: %s\n",
                 name.c_str(), house.house_id,
                 static_cast<long long>(appends),
                 static_cast<long long>(session->readings()),
@@ -255,15 +286,9 @@ int main() {
                    mapped.status().ToString().c_str());
       return 1;
     }
-    bool store_identical =
-        mapped.value().detection.numel() == oneshot.value().detection.numel();
-    for (int64_t t = 0;
-         store_identical && t < oneshot.value().detection.numel(); ++t) {
-      store_identical =
-          mapped.value().detection.at(t) == oneshot.value().detection.at(t) &&
-          mapped.value().status.at(t) == oneshot.value().status.at(t) &&
-          mapped.value().power.at(t) == oneshot.value().power.at(t);
-    }
+    Timeline from_store;  // a one-shot scan is one result from 0
+    from_store.Overlay(mapped.value());
+    const bool store_identical = from_store.Matches(oneshot.value());
     std::printf("mapped store scan (%lld samples, %lld bytes on disk, "
                 "%lld chunks): bitwise-identical to the in-memory scan: %s\n",
                 static_cast<long long>(store.num_samples()),
@@ -276,7 +301,7 @@ int main() {
     // Crash-and-restore epilogue: stream the first half of the same
     // household, checkpoint the live session, then "kill" the server and
     // boot a fresh Service that restores the snapshot and streams the
-    // rest. The final result must still be bitwise-identical to the
+    // rest. The rebuilt timeline must still be bitwise-identical to the
     // one-shot scan — a crash in the middle of a stream loses nothing.
     const std::string ckpt_dir = "/tmp/household_scan_ckpt";
     serve::SessionOptions crash_opt;
@@ -339,16 +364,12 @@ int main() {
                    resumed.status().ToString().c_str());
       return 1;
     }
-    bool crash_identical =
-        resumed.value().detection.numel() == oneshot.value().detection.numel();
-    for (int64_t t = 0;
-         crash_identical && t < oneshot.value().detection.numel(); ++t) {
-      crash_identical =
-          resumed.value().detection.at(t) ==
-              oneshot.value().detection.at(t) &&
-          resumed.value().status.at(t) == oneshot.value().status.at(t) &&
-          resumed.value().power.at(t) == oneshot.value().power.at(t);
-    }
+    // The timeline spans the crash: the first half's result, then what
+    // the restored session's append changed.
+    Timeline recovered;
+    recovered.Overlay(first_half.value());
+    recovered.Overlay(resumed.value());
+    const bool crash_identical = recovered.Matches(oneshot.value());
     std::printf("crash-and-restore (%lld of %lld readings checkpointed): "
                 "resumed stream bitwise-identical to the one-shot scan: %s\n",
                 static_cast<long long>(half), static_cast<long long>(n),

@@ -1,5 +1,6 @@
 #include "core/model_io.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 
@@ -64,6 +65,22 @@ Result<CamalEnsemble> LoadEnsemble(const std::string& directory) {
     if (kernel_size <= 0 || base_filters <= 0) {
       return Status::InvalidArgument("invalid member config in manifest");
     }
+    // Bound the member by its weight file BEFORE building it: both
+    // backbones hold a conv of at least f*f*k float weights, so a row
+    // whose f^2*k*4 bytes exceed the file cannot load — and constructing
+    // it first would allocate a corrupt row's worth of weights.
+    const std::string weights = directory + "/" + row[4];
+    std::error_code ec;
+    const uintmax_t file_bytes = std::filesystem::file_size(weights, ec);
+    if (ec) return Status::IoError("cannot open " + weights);
+    int64_t conv_bytes = 0;
+    if (__builtin_mul_overflow(base_filters, base_filters, &conv_bytes) ||
+        __builtin_mul_overflow(conv_bytes, kernel_size, &conv_bytes) ||
+        __builtin_mul_overflow(conv_bytes, int64_t{4}, &conv_bytes) ||
+        static_cast<uintmax_t>(conv_bytes) > file_bytes) {
+      const std::string why = " needs more weights than " + weights + " holds";
+      return Status::InvalidArgument("manifest row " + std::to_string(r) + why);
+    }
     Rng rng(0);  // weights are overwritten by LoadParameters
     EnsembleMember member;
     member.kernel_size = kernel_size;
@@ -81,8 +98,7 @@ Result<CamalEnsemble> LoadEnsemble(const std::string& directory) {
     } else {
       return Status::InvalidArgument("unknown backbone '" + row[0] + "'");
     }
-    CAMAL_RETURN_NOT_OK(
-        nn::LoadParameters(member.model.get(), directory + "/" + row[4]));
+    CAMAL_RETURN_NOT_OK(nn::LoadParameters(member.model.get(), weights));
     member.model->SetTraining(false);
     members.push_back(std::move(member));
   }

@@ -15,7 +15,11 @@ namespace camal::core {
 Status SaveEnsemble(const CamalEnsemble& ensemble,
                     const std::string& directory);
 
-/// Loads an ensemble saved by SaveEnsemble.
+/// Loads an ensemble saved by SaveEnsemble. A manifest row whose member
+/// would need more weights than its weight file holds (its smallest conv
+/// alone has base_filters^2 * kernel_size floats) is rejected with
+/// kInvalidArgument before the member is built, so a corrupt row cannot
+/// size an allocation.
 Result<CamalEnsemble> LoadEnsemble(const std::string& directory);
 
 }  // namespace camal::core

@@ -1,6 +1,7 @@
 #include "data/csv_loader.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 
@@ -81,8 +82,21 @@ Result<HouseRecord> ParseHouseCsv(const std::string& text, int house_id) {
     if (r > 1 && ts <= expected_t - interval + 1e-9) {
       return Status::InvalidArgument("timestamps must be strictly increasing");
     }
-    // Expand gaps into missing readings.
-    while (ts > expected_t + interval / 2.0) {
+    // Expand gaps into missing readings: one per interval slot before
+    // ts's own. The count is bounded before anything is added, so a
+    // corrupt timestamp cannot size an allocation.
+    const double slots = (ts - expected_t) / interval - 0.5;
+    if (!std::isfinite(slots)) {
+      return Status::InvalidArgument("row " + std::to_string(r) +
+                                     ": non-finite timestamp gap");
+    }
+    const double missing = slots > 0.0 ? std::ceil(slots) : 0.0;
+    if (missing + static_cast<double>(house.aggregate.size()) + 1.0 >
+        static_cast<double>(kMaxHouseReadings)) {
+      return Status::InvalidArgument("row " + std::to_string(r) +
+                                     ": timestamp gap past kMaxHouseReadings");
+    }
+    for (int64_t m = 0; m < static_cast<int64_t>(missing); ++m) {
       house.aggregate.push_back(kMissingValue);
       for (auto& trace : house.appliances) {
         trace.power.push_back(kMissingValue);

@@ -1,6 +1,7 @@
 #ifndef CAMAL_DATA_CSV_LOADER_H_
 #define CAMAL_DATA_CSV_LOADER_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -8,6 +9,11 @@
 #include "data/time_series.h"
 
 namespace camal::data {
+
+/// Most readings a loaded household series may hold: 2^27, over four
+/// years of 1 Hz data and 512 MiB per channel. It bounds what a gap
+/// between two timestamps can expand into.
+inline constexpr int64_t kMaxHouseReadings = int64_t{1} << 27;
 
 /// Loads one household recording from a CSV file so the library can run on
 /// real smart-meter exports (UK-DALE/REFIT-style per-house dumps) instead
@@ -17,7 +23,9 @@ namespace camal::data {
 ///   timestamp,aggregate[,appliance_1[,appliance_2...]]
 /// - `timestamp`: integer seconds (unix or relative). Rows must be sorted;
 ///   the sampling interval is inferred from the first two rows and gaps are
-///   expanded into missing readings.
+///   expanded into missing readings. A non-finite gap, or one that would
+///   grow the series past kMaxHouseReadings, is rejected with
+///   kInvalidArgument before any reading is added.
 /// - `aggregate` and appliance columns: Watts; empty cells are missing.
 /// Appliance column names become ApplianceTrace names.
 Result<HouseRecord> LoadHouseCsv(const std::string& path, int house_id);

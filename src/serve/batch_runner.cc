@@ -8,6 +8,20 @@
 #include "data/window.h"
 
 namespace camal::serve {
+namespace {
+
+/// Keeps the last \p keep entries of \p v, then gives back the capacity a
+/// large first append leaves behind (a long prefill would otherwise pin
+/// its whole buffer for the session's life).
+template <typename T>
+void KeepLast(std::vector<T>* v, size_t keep) {
+  if (v->size() > keep) {
+    v->erase(v->begin(), v->end() - static_cast<std::ptrdiff_t>(keep));
+  }
+  if (v->capacity() > 4 * keep) v->shrink_to_fit();
+}
+
+}  // namespace
 
 BatchRunner::BatchRunner(core::CamalEnsemble* ensemble,
                          BatchRunnerOptions options)
@@ -71,6 +85,7 @@ std::vector<ScanResult> BatchRunner::ScanMany(
   for (size_t i = 0; i < series.size(); ++i) {
     SessionScanState& acc = scratch_[i];
     const size_t len = static_cast<size_t>(series[i].size());
+    acc.base = 0;
     acc.grid_windows = 0;
     acc.prob_sum.assign(len, 0.0f);
     acc.cover.assign(len, 0);
@@ -85,7 +100,8 @@ std::vector<ScanResult> BatchRunner::AppendScanMany(
     const std::vector<data::SeriesView>& deltas) {
   CAMAL_CHECK_EQ(states.size(), deltas.size());
   // Commit each delta and zero-extend the accumulators, which keeps the
-  // committed grid votes; the pass then votes only on the new windows.
+  // committed grid votes; the pass then votes only on the new windows
+  // and finalizes the live readings, from each state's base on.
   std::vector<data::SeriesView> views;
   views.reserve(states.size());
   for (size_t i = 0; i < states.size(); ++i) {
@@ -99,7 +115,19 @@ std::vector<ScanResult> BatchRunner::AppendScanMany(
     state->on_votes.resize(len, 0);
     views.push_back(data::SeriesView(state->series));
   }
-  return StitchPass(views, states);
+  std::vector<ScanResult> results = StitchPass(views, states);
+  // Finalize once: no later window votes before len - l (see
+  // SessionScanState), so only the last l readings and slots stay live.
+  const auto keep = static_cast<size_t>(options_.stream.window_length);
+  for (SessionScanState* state : states) {
+    const int64_t before = static_cast<int64_t>(state->series.size());
+    KeepLast(&state->series, keep);
+    KeepLast(&state->prob_sum, keep);
+    KeepLast(&state->cover, keep);
+    KeepLast(&state->on_votes, keep);
+    state->base += before - static_cast<int64_t>(state->series.size());
+  }
+  return results;
 }
 
 std::vector<ScanResult> BatchRunner::StitchPass(
@@ -115,7 +143,8 @@ std::vector<ScanResult> BatchRunner::StitchPass(
   // Plan: per series, the grid windows its accumulators have not voted
   // on yet, in ascending offset, then the end-aligned tail or pad window.
   // The end window gets a feed entry of its own, which routes its votes
-  // to the overlay.
+  // to the overlay. Offsets are live indices: absolute minus the state's
+  // base, which every window planned here starts at or after.
   struct FeedTarget {
     size_t series;
     bool overlay;
@@ -125,13 +154,15 @@ std::vector<ScanResult> BatchRunner::StitchPass(
   std::vector<WindowRef> refs;
   for (size_t i = 0; i < n; ++i) {
     const data::SeriesView series = views[i];
-    const int64_t len = series.size();
     SessionScanState& acc = *votes[i];
+    const int64_t size = series.size();
+    const int64_t len = acc.base + size;  // the whole series' length
     SessionScanState& overlay = overlays_[i];
     ScanResult& result = results[i];
-    result.detection = nn::Tensor({len});
-    result.status = nn::Tensor({len});
-    result.power = nn::Tensor({len});
+    result.from = acc.base;
+    result.detection = nn::Tensor({size});
+    result.status = nn::Tensor({size});
+    result.power = nn::Tensor({size});
     overlay.prob_sum.clear();
     overlay.cover.clear();
     overlay.on_votes.clear();
@@ -143,7 +174,7 @@ std::vector<ScanResult> BatchRunner::StitchPass(
     if (acc.grid_windows < grid) {
       const int32_t f = static_cast<int32_t>(feed.size());
       for (int64_t k = acc.grid_windows; k < grid; ++k) {
-        refs.push_back(WindowRef{f, k * stride});
+        refs.push_back(WindowRef{f, k * stride - acc.base});
       }
       feed.push_back(series);
       targets.push_back(FeedTarget{i, false});
@@ -154,7 +185,8 @@ std::vector<ScanResult> BatchRunner::StitchPass(
       if (len < l) {
         // A series shorter than one window rides a single window
         // left-padded with zeros (the stream's missing-reading fill), so
-        // short households still get real model predictions.
+        // short households still get real model predictions. It was
+        // never trimmed, so base is 0 and the view is the whole series.
         overlay.series.assign(static_cast<size_t>(l - len), 0.0f);
         overlay.series.insert(overlay.series.end(), series.begin(),
                               series.end());
@@ -186,10 +218,10 @@ std::vector<ScanResult> BatchRunner::StitchPass(
         const FeedTarget target = targets[static_cast<size_t>(ref.series)];
         SessionScanState& acc =
             target.overlay ? overlays_[target.series] : *votes[target.series];
-        const int64_t base = target.overlay ? 0 : ref.offset;
+        const int64_t start = target.overlay ? 0 : ref.offset;
         const float p = loc.probabilities.at(w);
         for (int64_t t = 0; t < l; ++t) {
-          const size_t s = static_cast<size_t>(base + t);
+          const size_t s = static_cast<size_t>(start + t);
           acc.prob_sum[s] += p;
           ++acc.cover[s];
           if (loc.status.at2(w, t) > 0.5f) ++acc.on_votes[s];
@@ -200,23 +232,24 @@ std::vector<ScanResult> BatchRunner::StitchPass(
     seconds = watch.ElapsedSeconds();
   }
 
-  // Finalize: grid votes first, the overlay last — ascending window
-  // order, whatever the chunking of appends, so the float sums are
-  // bit-identical across every way of reaching the same series. The pass
-  // was shared, so each result reports its wall time (see ScanResult).
+  // Finalize the live timestamps: grid votes first, the overlay last —
+  // ascending window order, whatever the chunking of appends, so the
+  // float sums are bit-identical across every way of reaching the same
+  // series. The pass was shared, so each result reports its wall time
+  // (see ScanResult).
   for (size_t i = 0; i < n; ++i) {
     ScanResult& result = results[i];
     result.seconds = seconds;
-    const int64_t len = views[i].size();
-    if (len == 0) continue;
+    const int64_t size = views[i].size();
+    if (size == 0) continue;
     const SessionScanState& acc = *votes[i];
     const SessionScanState& overlay = overlays_[i];
-    for (int64_t t = 0; t < len; ++t) {
+    for (int64_t t = 0; t < size; ++t) {
       const size_t s = static_cast<size_t>(t);
       float p = acc.prob_sum[s];
       int32_t c = acc.cover[s];
       int32_t on = acc.on_votes[s];
-      const int64_t j = t - (len - l);
+      const int64_t j = t - (size - l);
       if (j >= 0 && !overlay.cover.empty()) {
         p += overlay.prob_sum[static_cast<size_t>(j)];
         c += overlay.cover[static_cast<size_t>(j)];

@@ -19,11 +19,17 @@ struct BatchRunnerOptions {
   float appliance_avg_power_w = 0.0f;
 };
 
-/// Per-timestamp result of scanning one household series.
+/// Per-timestamp result of scanning one household series, or of the
+/// stretch of it a session append changed. The tensors cover absolute
+/// timestamps [from, from + T): a one-shot scan returns the whole series
+/// (from = 0); an append returns the suffix from the session's first live
+/// reading, and every earlier timestamp keeps the value an earlier append
+/// returned.
 struct ScanResult {
   nn::Tensor detection;  ///< (T) mean detection prob of covering windows.
   nn::Tensor status;     ///< (T) 0/1 activation by majority vote of windows.
   nn::Tensor power;      ///< (T) estimated appliance Watts (§IV-C).
+  int64_t from = 0;      ///< absolute index of detection[0].
   int64_t windows = 0;   ///< windows processed.
   /// Windows a from-scratch scan of the full series would process. Equal
   /// to `windows` for one-shot scans; for incremental session appends the
@@ -46,13 +52,13 @@ struct ScanResult {
 };
 
 /// Stitch state of one household: its grid vote accumulators plus, for a
-/// streaming session, the committed series they vote on. Owned by
-/// serve::Session (or any caller driving AppendScan directly); BatchRunner
-/// only reads and extends it, so state created by one runner can be
-/// appended to by another — the per-window forward results it caches
-/// votes from are replica- and batch-composition-invariant. A one-shot
-/// Scan runs the same pass over a fresh state whose `series` stays empty,
-/// because the caller's view is borrowed instead.
+/// streaming session, the live suffix of the committed series they vote
+/// on. Owned by serve::Session (or any caller driving AppendScan
+/// directly); BatchRunner only reads and extends it, so state created by
+/// one runner can be appended to by another — the per-window forward
+/// results it caches votes from are replica- and batch-composition-
+/// invariant. A one-shot Scan runs the same pass over a fresh state whose
+/// `series` stays empty, because the caller's view is borrowed instead.
 ///
 /// The accumulators hold STRIDE-GRID window votes only. Grid windows
 /// never move once committed (growing a series only appends offsets),
@@ -61,17 +67,27 @@ struct ScanResult {
 /// end, so every pass recomputes it into a transient overlay that is
 /// summed after the grid votes. Every scan thus accumulates grid windows
 /// ascending and the end window last, whatever the chunking of appends,
-/// which is what makes incremental results bitwise-identical to a
-/// one-shot scan of the concatenated series.
+/// which is what makes incremental results, each written at its `from`,
+/// bitwise-identical to a one-shot scan of the concatenated series.
+///
+/// Finalize once: after an append, no later window can vote before
+/// len - l (the next grid window starts at grid_windows * stride, past
+/// it; every later tail starts at or after it), so the pass drops those
+/// timestamps for good. A session holds min(len, l) readings and
+/// accumulator slots, whatever its history; `base` is the absolute index
+/// of series[0] and of slot 0 of each accumulator.
 struct SessionScanState {
-  std::vector<float> series;      ///< committed aggregate readings (owned).
+  int64_t base = 0;               ///< absolute index of series[0].
+  std::vector<float> series;      ///< live suffix of committed readings.
   int64_t grid_windows = 0;       ///< grid windows already accumulated.
   std::vector<float> prob_sum;    ///< per-timestamp grid probability sum.
   std::vector<int32_t> cover;     ///< grid windows covering each timestamp.
   std::vector<int32_t> on_votes;  ///< grid ON votes per timestamp.
 
-  /// Readings committed so far.
-  int64_t readings() const { return static_cast<int64_t>(series.size()); }
+  /// Readings committed so far, trimmed ones included.
+  int64_t readings() const {
+    return base + static_cast<int64_t>(series.size());
+  }
 };
 
 /// End-to-end batched serving for one appliance: slices a household
@@ -88,11 +104,12 @@ struct SessionScanState {
 /// those windows stream through the model in shared GEMM batches
 /// (MultiWindowStream). Vote: each window's votes accumulate into its own
 /// series' grid accumulators, or into the transient overlay for the end
-/// window. Finalize: grid votes first, overlay last. A one-shot scan is
-/// the pass over fresh scratch accumulators; an append is the pass over a
-/// session's persisted ones. Because per-window forward results do not
-/// depend on which other windows share a batch, ScanMany and
-/// AppendScanMany can coalesce windows from several series into one
+/// window. Finalize: grid votes first, overlay last, over the live
+/// timestamps only. A one-shot scan is the pass over fresh scratch
+/// accumulators (base 0, so the whole series is live); an append is the
+/// pass over a session's persisted ones. Because per-window forward
+/// results do not depend on which other windows share a batch, ScanMany
+/// and AppendScanMany can coalesce windows from several series into one
 /// forward pass and still return, for every series, bitwise-identical
 /// results to a lone Scan of it.
 class BatchRunner {
@@ -123,12 +140,17 @@ class BatchRunner {
   /// and feeds ONLY the windows the new tail touches — grid windows not
   /// yet committed plus the end-aligned tail (or short-series pad) window
   /// — reusing the persisted votes for everything else. Returns the
-  /// full-series result, bitwise-identical to Scan(state->series) after
-  /// the append; its `windows` counts only the windows actually fed.
-  /// Empty deltas are fine (they re-finalize without feeding anything).
-  /// \p delta must not view \p state's own committed series (it is copied
-  /// into it). Not thread-safe, like Scan; concurrent appends to one
-  /// state are the caller's bug (serve::Service serializes per session).
+  /// changed suffix [from, len) of the series' result, where from is
+  /// state->base before the append (about l + delta timestamps); every
+  /// timestamp before it is final and was returned by an earlier append.
+  /// Writing each append's suffix at its `from` over the previous ones
+  /// reproduces Scan of the concatenated series bit for bit. `windows`
+  /// counts only the windows actually fed. Then drops every timestamp
+  /// before len - l from \p state (see SessionScanState). Empty deltas
+  /// are fine (they re-finalize without feeding anything). \p delta must
+  /// not view \p state's own committed series (it is copied into it).
+  /// Not thread-safe, like Scan; concurrent appends to one state are the
+  /// caller's bug (serve::Service serializes per session).
   ScanResult AppendScan(SessionScanState* state, data::SeriesView delta);
 
   /// Coalesced incremental rescan of several sessions: one feed phase
@@ -136,8 +158,8 @@ class BatchRunner {
   /// share GEMM batches exactly like ScanMany coalesces one-shot scans.
   /// states[i] / deltas[i] pair up; states must not be null and must be
   /// distinct, and no delta may view its own state's committed series.
-  /// results[i] is bitwise-identical to Scan(states[i]->series) after its
-  /// append. Not thread-safe.
+  /// results[i] is the changed suffix AppendScan(states[i], deltas[i])
+  /// would return, bit for bit. Not thread-safe.
   std::vector<ScanResult> AppendScanMany(
       const std::vector<SessionScanState*>& states,
       const std::vector<data::SeriesView>& deltas);
@@ -150,8 +172,10 @@ class BatchRunner {
 
  private:
   /// The one stitch pass behind every scan: plans, feeds, votes and
-  /// finalizes views[i] against votes[i], whose accumulators are sized to
+  /// finalizes views[i], the live readings from absolute index
+  /// votes[i]->base on, against votes[i], whose accumulators are sized to
   /// views[i] and already hold grid windows [0, votes[i]->grid_windows).
+  /// Result i covers exactly views[i], with from = votes[i]->base.
   std::vector<ScanResult> StitchPass(
       const std::vector<data::SeriesView>& views,
       const std::vector<SessionScanState*>& votes);
@@ -166,7 +190,8 @@ class BatchRunner {
   // batches; per-batch allocation churn showed up in serving profiles).
   std::vector<SessionScanState> scratch_;  ///< one-shot accumulators.
   /// Per-series votes of the end-aligned window (tail or short-series
-  /// pad), window-length: index j covers timestamp len - window_length + j.
+  /// pad), window-length: index j covers live index
+  /// size - window_length + j.
   /// `series` holds the pad window's zero-padded feed copy; the vote
   /// buffers are empty when the series has no end window.
   std::vector<SessionScanState> overlays_;

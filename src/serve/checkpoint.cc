@@ -142,6 +142,7 @@ Status WriteSessionCheckpoint(const std::string& path,
                 snapshot.appliance.size());
     AppendI64(&payload, snapshot.max_pending_appends);
     AppendI64(&payload, state.grid_windows);
+    AppendI64(&payload, state.base);
     // Raw little-endian bytes of each accumulator: bit-exact round trip,
     // NaN payloads included — anything lossier would break the
     // bitwise-identity guarantee across a restart.
@@ -184,10 +185,12 @@ Result<std::vector<SessionSnapshot>> ReadSessionCheckpoint(
     return Status::InvalidArgument(
         path + ": bad magic (not a session checkpoint)");
   }
-  if (header.version != SessionCheckpointFormat::kVersion) {
+  if (header.version < SessionCheckpointFormat::kMinVersion ||
+      header.version > SessionCheckpointFormat::kVersion) {
     return Status::InvalidArgument(
         path + ": unsupported checkpoint version " +
         std::to_string(header.version) + " (reader supports " +
+        std::to_string(SessionCheckpointFormat::kMinVersion) + " to " +
         std::to_string(SessionCheckpointFormat::kVersion) + ")");
   }
   const int64_t header_bytes =
@@ -225,6 +228,10 @@ Result<std::vector<SessionSnapshot>> ReadSessionCheckpoint(
         reader.TakeString(appliance_len, &snapshot.appliance));
     CAMAL_RETURN_NOT_OK(reader.TakeI64(&snapshot.max_pending_appends));
     CAMAL_RETURN_NOT_OK(reader.TakeI64(&snapshot.state.grid_windows));
+    // A version 1 record was never trimmed: its series starts at 0.
+    if (header.version >= 2) {
+      CAMAL_RETURN_NOT_OK(reader.TakeI64(&snapshot.state.base));
+    }
     int64_t count = 0;
     CAMAL_RETURN_NOT_OK(reader.TakeI64(&count));
     CAMAL_RETURN_NOT_OK(reader.TakeVector(count, &snapshot.state.series));
@@ -238,12 +245,16 @@ Result<std::vector<SessionSnapshot>> ReadSessionCheckpoint(
       return reader.Corrupt("empty session id or appliance");
     }
     if (snapshot.max_pending_appends < 0 ||
-        snapshot.state.grid_windows < 0) {
+        snapshot.state.grid_windows < 0 || snapshot.state.base < 0) {
       return reader.Corrupt("negative count");
     }
-    // Every accumulator holds one entry per committed reading; a shorter
-    // one would silently drop committed votes on the next append.
+    // Every accumulator holds one entry per live reading; a shorter one
+    // would silently drop committed votes on the next append.
     const size_t len = snapshot.state.series.size();
+    if (snapshot.state.base >
+        SessionCheckpointFormat::kMaxReadings - static_cast<int64_t>(len)) {
+      return reader.Corrupt("base + series length out of range");
+    }
     if (snapshot.state.prob_sum.size() != len ||
         snapshot.state.cover.size() != len ||
         snapshot.state.on_votes.size() != len) {

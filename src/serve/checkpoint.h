@@ -31,10 +31,19 @@ namespace camal::serve {
 ///              uint32 appliance length + bytes
 ///              int64  max_pending_appends (SessionOptions)
 ///              int64  grid_windows
-///              int64  series count   + floats (committed readings)
+///              int64  base (absolute index of the first live reading;
+///                     version 2 only)
+///              int64  series count   + floats (live readings)
 ///              int64  prob_sum count + floats
 ///              int64  cover count    + int32s
 ///              int64  on_votes count + int32s
+///
+/// Version 2 records hold a session's live suffix only (SessionScanState:
+/// at most window_length readings and slots), so a record is O(window)
+/// whatever the session's history. The writer writes version 2; the
+/// reader also accepts version 1, whose records lack `base` and are read
+/// with base 0 — a version 1 record is a version 2 record that was never
+/// trimmed.
 ///
 /// Open-time validation is column_store style — size, magic, version,
 /// declared payload length, then CRC over the whole payload before any
@@ -43,10 +52,17 @@ namespace camal::serve {
 /// wrong restore.
 struct SessionCheckpointFormat {
   static constexpr uint32_t kMagic = 0x54504B43;  // "CKPT" little-endian
-  static constexpr uint32_t kVersion = 1;
+  static constexpr uint32_t kVersion = 2;
+  /// Oldest version the reader accepts (see the layout above).
+  static constexpr uint32_t kMinVersion = 1;
   static constexpr size_t kHeaderBytes = 48;
   /// Sanity bound on id/appliance names; real ids are tiny.
   static constexpr uint32_t kMaxNameBytes = 4096;
+  /// Bound on a record's readings() (base + series length): 2^62 readings
+  /// is ~10^11 years of 1 Hz data, and it leaves a restored session 2^62
+  /// readings of appends before its int64 index arithmetic could
+  /// overflow.
+  static constexpr int64_t kMaxReadings = int64_t{1} << 62;
 };
 
 /// One live session's persisted state: identity plus the stitch
@@ -69,8 +85,9 @@ Status WriteSessionCheckpoint(const std::string& path,
 /// Reads and fully validates a checkpoint. Any malformed input — missing
 /// file, truncated header, torn payload, CRC mismatch, version skew,
 /// corrupt record (including accumulators whose length differs from the
-/// series length) — returns a Status; a caller degrades to fresh
-/// sessions instead of crashing or trusting bad state.
+/// series length, a negative base, or a base + series length past
+/// kMaxReadings) — returns a Status; a caller degrades to fresh sessions
+/// instead of crashing or trusting bad state.
 Result<std::vector<SessionSnapshot>> ReadSessionCheckpoint(
     const std::string& path);
 

@@ -627,14 +627,18 @@ Result<int64_t> Service::RestoreSessions(const std::string& dir) {
     // Degrade per record, never reject the whole restore: an appliance
     // this deployment no longer registers, a grid-window count that
     // disagrees with the appliance's window plan (the appends would skip
-    // or re-vote grid windows), or an id a live session already owns (the
-    // live session wins — it is newer by definition) skips the record.
+    // or re-vote grid windows), a trimmed record holding less than one
+    // window (the next tail window would start before its base), or an
+    // id a live session already owns (the live session wins — it is newer
+    // by definition) skips the record.
     const auto appliance = appliances_.find(snapshot.appliance);
     if (appliance == appliances_.end()) continue;
     const WindowStreamOptions& stream = appliance->second.runner.stream;
     const int64_t grid = data::GridWindowCount(
         snapshot.state.readings(), stream.window_length, stream.stride);
     if (snapshot.state.grid_windows != grid) continue;
+    const auto live = static_cast<int64_t>(snapshot.state.series.size());
+    if (snapshot.state.base > 0 && live < stream.window_length) continue;
     SessionOptions options;
     options.household_id = snapshot.id;
     options.max_pending_appends = snapshot.max_pending_appends;

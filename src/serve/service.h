@@ -248,7 +248,9 @@ class Service {
                                                  SessionOptions options = {});
 
   /// Appends \p readings to \p session and rescans incrementally. Always
-  /// returns a future; on success it resolves to the FULL-series result,
+  /// returns a future; on success it resolves to the changed suffix
+  /// [from, readings) of the session's result (BatchRunner::AppendScan):
+  /// written at `from` over the earlier appends' suffixes, it is
   /// bitwise-identical to a from-scratch scan of everything appended so
   /// far. Appends to one session serialize in submission order; at most
   /// max_pending_appends may park behind the in-flight one before
@@ -286,7 +288,8 @@ class Service {
   /// is not an error); a corrupt, torn, or version-skewed file returns
   /// the reader's Status and the service keeps serving; records whose
   /// appliance is not registered, whose grid-window count disagrees with
-  /// that appliance's window plan, or whose id collides with a live
+  /// that appliance's window plan, that were trimmed (base > 0) yet hold
+  /// fewer than window_length readings, or whose id collides with a live
   /// session (the live one wins), are skipped. Requires a running
   /// service (kFailedPrecondition otherwise).
   Result<int64_t> RestoreSessions(const std::string& dir);

@@ -33,10 +33,13 @@ struct SessionOptions {
 /// A long-lived streaming household: the incremental counterpart of a
 /// one-shot Submit. Created by Service::CreateSession; each
 /// AppendReadings delta extends the household's committed series and
-/// returns the FULL-series result, bitwise-identical to a from-scratch
-/// scan of everything appended so far — the service persists the
-/// session's stitch state and rescans only the windows the new tail
-/// touches.
+/// returns the changed suffix of its result, [from, readings()) with
+/// `from` in ScanResult::from. Writing every append's suffix at its
+/// `from` rebuilds the result of a from-scratch scan of everything
+/// appended so far, bit for bit — the service persists the session's
+/// stitch state, rescans only the windows the new tail touches, and keeps
+/// only the last window_length readings (SessionScanState), so memory
+/// and per-append cost stay flat however long the household streams.
 ///
 /// Concurrency: AppendReadings is thread-safe, and appends to ONE session
 /// serialize in submission order (at most one is ever queued or running;
@@ -111,7 +114,7 @@ class Session : public std::enable_shared_from_this<Session> {
   /// readings() snapshot, under mu_.
   int64_t committed_readings_ CAMAL_GUARDED_BY(mu_) = 0;
 
-  /// Persisted stitch state (committed series + grid-window votes). NOT
+  /// Persisted stitch state (live series suffix + grid-window votes). NOT
   /// guarded by mu_: only the worker serving the session's single
   /// in-flight append touches it, and the in_flight_ handoff through the
   /// queue orders those accesses across workers.

@@ -3,7 +3,9 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -15,12 +17,15 @@
 #include "common/fault_injection.h"
 #include "common/rng.h"
 #include "core/ensemble.h"
+#include "core/localizer.h"
 #include "core/resnet.h"
+#include "data/time_series.h"
 #include "data/window.h"
 #include "serve/batch_runner.h"
 #include "serve/checkpoint.h"
 #include "serve/service.h"
 #include "serve/window_stream.h"
+#include "session_timeline.h"
 
 namespace camal {
 namespace {
@@ -136,14 +141,23 @@ serve::SessionSnapshot MakeSnapshot(const std::string& id, uint64_t seed,
   return snapshot;
 }
 
+// Float vectors compare by bits, so NaN readings (missing) match too.
+void ExpectSameBits(const std::vector<float>& got,
+                    const std::vector<float>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  const size_t bytes = got.size() * sizeof(float);
+  EXPECT_TRUE(bytes == 0 || std::memcmp(got.data(), want.data(), bytes) == 0);
+}
+
 void ExpectSnapshotEqual(const serve::SessionSnapshot& got,
                          const serve::SessionSnapshot& want) {
   EXPECT_EQ(got.id, want.id);
   EXPECT_EQ(got.appliance, want.appliance);
   EXPECT_EQ(got.max_pending_appends, want.max_pending_appends);
   EXPECT_EQ(got.state.grid_windows, want.state.grid_windows);
-  EXPECT_EQ(got.state.series, want.state.series);
-  EXPECT_EQ(got.state.prob_sum, want.state.prob_sum);
+  EXPECT_EQ(got.state.base, want.state.base);
+  ExpectSameBits(got.state.series, want.state.series);
+  ExpectSameBits(got.state.prob_sum, want.state.prob_sum);
   EXPECT_EQ(got.state.cover, want.state.cover);
   EXPECT_EQ(got.state.on_votes, want.state.on_votes);
 }
@@ -154,6 +168,11 @@ TEST(CheckpointFormatTest, RoundTripsSessionsBitwise) {
   sessions.push_back(MakeSnapshot("house-1", 11, 37));
   sessions.push_back(MakeSnapshot("house-2", 13, 0));  // empty state is legal
   sessions.push_back(MakeSnapshot("house-3", 17, 120));
+  // A trimmed session: 16 live readings of a 1,000,016-reading history.
+  serve::SessionSnapshot trimmed = MakeSnapshot("house-4", 19, 16);
+  trimmed.state.base = 1000000;
+  trimmed.state.grid_windows = data::GridWindowCount(1000016, 16, 8);
+  sessions.push_back(std::move(trimmed));
 
   ASSERT_TRUE(serve::WriteSessionCheckpoint(path, sessions).ok());
   auto restored = serve::ReadSessionCheckpoint(path);
@@ -295,6 +314,31 @@ TEST(CheckpointFormatTest, AccumulatorLengthMismatchIsRejected) {
   }
 }
 
+TEST(CheckpointFormatTest, BaseOutOfRangeIsRejected) {
+  // A CRC-valid record whose base is negative, or whose base + series
+  // length passes kMaxReadings (or overflows int64), has no readings() a
+  // session could safely resume from; the reader must refuse it.
+  constexpr int64_t kMax = serve::SessionCheckpointFormat::kMaxReadings;
+  constexpr int64_t kLowest = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kHighest = std::numeric_limits<int64_t>::max();
+  const std::string path = TestPath("bad_base.ckpt");
+  for (int64_t base : {int64_t{-1}, kLowest, kMax - 15, kHighest - 15}) {
+    serve::SessionSnapshot snapshot = MakeSnapshot("h", 49, 16);
+    snapshot.state.base = base;
+    ASSERT_TRUE(serve::WriteSessionCheckpoint(path, {snapshot}).ok());
+    auto restored = serve::ReadSessionCheckpoint(path);
+    ASSERT_FALSE(restored.ok()) << "base " << base;
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+  }
+  // The largest base in range still reads.
+  serve::SessionSnapshot edge = MakeSnapshot("h", 49, 16);
+  edge.state.base = kMax - 16;
+  ASSERT_TRUE(serve::WriteSessionCheckpoint(path, {edge}).ok());
+  auto restored = serve::ReadSessionCheckpoint(path);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored.value()[0].state.readings(), kMax);
+}
+
 TEST(CheckpointFormatTest, HugeSessionCountIsRejected) {
   // The payload CRC does not cover the header, so a corrupt session count
   // reaches the record loop; it must fail on the first missing record
@@ -370,6 +414,7 @@ TEST(ServiceCheckpointTest, RestoredSessionResumesBitwiseIdentical) {
   core::CamalEnsemble ensemble = RandomEnsemble(81);
   Rng rng(82);
   std::vector<float> concatenated;
+  SessionTimeline timeline;
 
   // Phase 1: stream two chunks, checkpoint, and "crash" (destroy the
   // service without a shutdown flush by checkpointing explicitly first).
@@ -388,7 +433,10 @@ TEST(ServiceCheckpointTest, RestoredSessionResumesBitwiseIdentical) {
     for (int64_t chunk_len : {21, 18}) {
       std::vector<float> chunk = RandomChunk(&rng, chunk_len);
       concatenated.insert(concatenated.end(), chunk.begin(), chunk.end());
-      ASSERT_TRUE(session->AppendReadings(std::move(chunk)).get().ok());
+      Result<serve::ScanResult> result =
+          session->AppendReadings(std::move(chunk)).get();
+      ASSERT_TRUE(result.ok());
+      timeline.Overlay(result.value());
     }
     ASSERT_TRUE(service.CheckpointSessions(dir).ok());
     EXPECT_EQ(service.stats().checkpoints_written, 1);
@@ -396,9 +444,10 @@ TEST(ServiceCheckpointTest, RestoredSessionResumesBitwiseIdentical) {
   }
 
   // Phase 2: a fresh service restores the session and keeps streaming.
-  // Every post-restore append must be bitwise-identical to a one-shot
-  // scan of the full series — i.e. to an uninterrupted session (which
-  // the serving contract already pins to the one-shot result).
+  // After every post-restore append, the suffixes overlaid across the
+  // crash must be bitwise-identical to a one-shot scan of the full
+  // series — i.e. to an uninterrupted session (which the serving
+  // contract already pins to the one-shot result).
   serve::Service service;
   ASSERT_TRUE(service
                   .RegisterAppliance("fridge", &ensemble,
@@ -424,12 +473,15 @@ TEST(ServiceCheckpointTest, RestoredSessionResumesBitwiseIdentical) {
     Result<serve::ScanResult> result =
         session->AppendReadings(std::move(chunk)).get();
     ASSERT_TRUE(result.ok());
+    ASSERT_EQ(result.value().from + result.value().detection.numel(),
+              session->readings());
+    timeline.Overlay(result.value());
     Result<serve::ScanResult> reference =
         service.Submit("fridge", concatenated).get();
     ASSERT_TRUE(reference.ok());
-    ExpectBitwiseEqual(result.value(), reference.value(),
-                       "post-restore prefix " +
-                           std::to_string(concatenated.size()));
+    ExpectTimelineBitwiseEqual(timeline, reference.value(),
+                               "post-restore prefix " +
+                                   std::to_string(concatenated.size()));
   }
   EXPECT_TRUE(session->Close().ok());
 }
@@ -482,33 +534,55 @@ TEST(ServiceCheckpointTest, RestoreDegradesGracefully) {
 TEST(ServiceCheckpointTest, RestoreSkipsGridWindowMismatch) {
   // A record whose grid_windows disagrees with its appliance's window
   // plan would make later appends skip (or re-vote) grid windows, so
-  // restore skips it like an unregistered appliance. Its sibling with
-  // consistent state still restores and resumes bitwise-identically.
+  // restore skips it like an unregistered appliance. So does a trimmed
+  // record (base > 0) holding fewer than window_length readings: its next
+  // end-aligned tail window would start before its base, a negative
+  // window offset. Their sibling with consistent state still restores and
+  // resumes bitwise-identically.
   const std::string dir = TestDir("restore_grid_mismatch");
   core::CamalEnsemble ensemble = RandomEnsemble(93);
   const serve::BatchRunnerOptions runner = SmallRunner(16, 8, 4, 600.0f);
   Rng rng(94);
   std::vector<float> series = RandomChunk(&rng, 100);
+  SessionTimeline good_timeline;
   {
     serve::Service service;
     ASSERT_TRUE(service.RegisterAppliance("fridge", &ensemble, runner).ok());
     ASSERT_TRUE(service.Start().ok());
-    for (const char* id : {"house-good", "house-bad"}) {
+    for (const char* id : {"house-good", "house-bad", "house-short"}) {
       serve::SessionOptions session_opt;
       session_opt.household_id = id;
       auto session = service.CreateSession("fridge", session_opt);
       ASSERT_TRUE(session.ok());
-      ASSERT_TRUE(session.value()->AppendReadings(series).get().ok());
+      Result<serve::ScanResult> result =
+          session.value()->AppendReadings(series).get();
+      ASSERT_TRUE(result.ok());
+      if (std::string(id) == "house-good") {
+        good_timeline.Overlay(result.value());
+      }
     }
     ASSERT_TRUE(service.CheckpointSessions(dir).ok());
   }
   const std::string path = serve::Service::CheckpointFile(dir);
   auto snapshots = serve::ReadSessionCheckpoint(path);
   ASSERT_TRUE(snapshots.ok()) << snapshots.status().ToString();
-  ASSERT_EQ(snapshots.value().size(), 2u);
+  ASSERT_EQ(snapshots.value().size(), 3u);
   for (serve::SessionSnapshot& snapshot : snapshots.value()) {
     ASSERT_EQ(snapshot.state.grid_windows, data::GridWindowCount(100, 16, 8));
+    // Every session was trimmed to one window of its history.
+    ASSERT_EQ(snapshot.state.base, 100 - 16);
+    ASSERT_EQ(snapshot.state.series.size(), 16u);
     if (snapshot.id == "house-bad") snapshot.state.grid_windows = 1000;
+    if (snapshot.id != "house-short") continue;
+    // Drop half the live window but keep readings() (and so the grid
+    // count) consistent: only the short-window rule can catch it.
+    serve::SessionScanState& state = snapshot.state;
+    state.series.erase(state.series.begin(), state.series.begin() + 8);
+    state.prob_sum.erase(state.prob_sum.begin(), state.prob_sum.begin() + 8);
+    state.cover.erase(state.cover.begin(), state.cover.begin() + 8);
+    state.on_votes.erase(state.on_votes.begin(), state.on_votes.begin() + 8);
+    state.base += 8;
+    ASSERT_EQ(state.readings(), 100);
   }
   ASSERT_TRUE(serve::WriteSessionCheckpoint(path, snapshots.value()).ok());
 
@@ -521,17 +595,154 @@ TEST(ServiceCheckpointTest, RestoreSkipsGridWindowMismatch) {
   EXPECT_EQ(service.stats().sessions_restored, 1);
   EXPECT_EQ(service.GetSession("house-bad").status().code(),
             StatusCode::kNotFound);
+  EXPECT_EQ(service.GetSession("house-short").status().code(),
+            StatusCode::kNotFound);
 
   auto good = service.GetSession("house-good");
   ASSERT_TRUE(good.ok());
-  std::vector<float> tail = RandomChunk(&rng, 20);
-  series.insert(series.end(), tail.begin(), tail.end());
-  Result<serve::ScanResult> appended =
-      good.value()->AppendReadings(std::move(tail)).get();
-  ASSERT_TRUE(appended.ok());
-  Result<serve::ScanResult> reference = service.Submit("fridge", series).get();
-  ASSERT_TRUE(reference.ok());
-  ExpectBitwiseEqual(appended.value(), reference.value(), "house-good");
+  for (int64_t chunk_len : {0, 20}) {
+    std::vector<float> chunk = RandomChunk(&rng, chunk_len);
+    series.insert(series.end(), chunk.begin(), chunk.end());
+    Result<serve::ScanResult> appended =
+        good.value()->AppendReadings(std::move(chunk)).get();
+    ASSERT_TRUE(appended.ok());
+    ASSERT_EQ(appended.value().from + appended.value().detection.numel(),
+              good.value()->readings());
+    good_timeline.Overlay(appended.value());
+    Result<serve::ScanResult> reference =
+        service.Submit("fridge", series).get();
+    ASSERT_TRUE(reference.ok());
+    ExpectTimelineBitwiseEqual(good_timeline, reference.value(),
+                               "house-good + " + std::to_string(chunk_len));
+  }
+}
+
+// The stitch state a version 1 writer persisted for \p series: never
+// trimmed, so every reading and every grid window's votes, summed in
+// ascending window order as the runner sums them. Each window is
+// localized alone (per-window results do not depend on batch company).
+serve::SessionScanState UntrimmedState(core::CamalEnsemble* ensemble,
+                                       const std::vector<float>& series,
+                                       const serve::WindowStreamOptions& opt) {
+  core::CamalLocalizer localizer(ensemble);
+  const int64_t l = opt.window_length;
+  serve::SessionScanState state;
+  state.series = series;
+  state.grid_windows = data::GridWindowCount(
+      static_cast<int64_t>(series.size()), l, opt.stride);
+  state.prob_sum.assign(series.size(), 0.0f);
+  state.cover.assign(series.size(), 0);
+  state.on_votes.assign(series.size(), 0);
+  for (int64_t k = 0; k < state.grid_windows; ++k) {
+    nn::Tensor window({1, 1, l});
+    for (int64_t t = 0; t < l; ++t) {
+      const float v = series[static_cast<size_t>(k * opt.stride + t)];
+      window.at(t) = data::IsMissing(v) ? 0.0f : v * (1.0f / opt.input_scale);
+    }
+    core::LocalizationResult loc = localizer.Localize(window);
+    for (int64_t t = 0; t < l; ++t) {
+      const auto s = static_cast<size_t>(k * opt.stride + t);
+      state.prob_sum[s] += loc.probabilities.at(0);
+      ++state.cover[s];
+      if (loc.status.at2(0, t) > 0.5f) ++state.on_votes[s];
+    }
+  }
+  return state;
+}
+
+template <typename T>
+void PutRaw(std::string* out, const T* values, size_t count) {
+  out->append(reinterpret_cast<const char*>(values), count * sizeof(T));
+}
+
+template <typename T>
+void PutCounted(std::string* out, const std::vector<T>& values) {
+  const auto count = static_cast<int64_t>(values.size());
+  PutRaw(out, &count, 1);
+  PutRaw(out, values.data(), values.size());
+}
+
+// A one-record version 1 checkpoint, encoded by hand: the layout before
+// records carried `base`.
+std::string EncodeVersionOne(const serve::SessionSnapshot& snapshot) {
+  std::string payload;
+  for (const std::string* name : {&snapshot.id, &snapshot.appliance}) {
+    const auto len = static_cast<uint32_t>(name->size());
+    PutRaw(&payload, &len, 1);
+    payload += *name;
+  }
+  PutRaw(&payload, &snapshot.max_pending_appends, 1);
+  PutRaw(&payload, &snapshot.state.grid_windows, 1);
+  PutCounted(&payload, snapshot.state.series);
+  PutCounted(&payload, snapshot.state.prob_sum);
+  PutCounted(&payload, snapshot.state.cover);
+  PutCounted(&payload, snapshot.state.on_votes);
+
+  // Header: magic, version 1, one session, payload CRC, payload bytes.
+  const uint32_t crc = Crc32(payload.data(), payload.size());
+  const uint32_t words[4] = {serve::SessionCheckpointFormat::kMagic, 1, 1, crc};
+  const auto payload_bytes = static_cast<int64_t>(payload.size());
+  std::string file;
+  PutRaw(&file, words, 4);
+  PutRaw(&file, &payload_bytes, 1);
+  file.resize(serve::SessionCheckpointFormat::kHeaderBytes, '\0');
+  return file + payload;
+}
+
+TEST(ServiceCheckpointTest, VersionOneCheckpointRestoresAndResumes) {
+  // A version 1 record is a version 2 record that was never trimmed: the
+  // reader takes it with base 0, and the restored session resumes
+  // bitwise-identically, trimming itself on its first append.
+  const std::string dir = TestDir("restore_v1");
+  core::CamalEnsemble ensemble = RandomEnsemble(97);
+  const serve::BatchRunnerOptions runner = SmallRunner(16, 8, 4, 600.0f);
+  Rng rng(98);
+  std::vector<float> series = RandomChunk(&rng, 90);
+  for (size_t t = 30; t < 36; ++t) series[t] = std::nanf("");
+  serve::SessionSnapshot v1;
+  v1.id = "house-v1";
+  v1.appliance = "fridge";
+  v1.max_pending_appends = 12;
+  v1.state = UntrimmedState(&ensemble, series, runner.stream);
+  const std::string path = serve::Service::CheckpointFile(dir);
+  WriteRawBytes(path, EncodeVersionOne(v1));
+
+  auto read = serve::ReadSessionCheckpoint(path);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  ASSERT_EQ(read.value().size(), 1u);
+  ExpectSnapshotEqual(read.value()[0], v1);  // base 0 included
+
+  serve::Service service;
+  ASSERT_TRUE(service.RegisterAppliance("fridge", &ensemble, runner).ok());
+  ASSERT_TRUE(service.Start().ok());
+  auto restored = service.RestoreSessions(dir);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  ASSERT_EQ(restored.value(), 1);
+  auto session = service.GetSession("house-v1");
+  ASSERT_TRUE(session.ok());
+  EXPECT_EQ(session.value()->readings(), 90);
+
+  // Before the crash the session had returned the whole 90-reading
+  // timeline, which is the one-shot scan of it.
+  SessionTimeline timeline;
+  Result<serve::ScanResult> before = service.Submit("fridge", series).get();
+  ASSERT_TRUE(before.ok());
+  timeline.Overlay(before.value());
+  for (int64_t chunk_len : {0, 13, 40}) {
+    std::vector<float> chunk = RandomChunk(&rng, chunk_len);
+    series.insert(series.end(), chunk.begin(), chunk.end());
+    Result<serve::ScanResult> appended =
+        session.value()->AppendReadings(std::move(chunk)).get();
+    ASSERT_TRUE(appended.ok());
+    ASSERT_EQ(appended.value().from + appended.value().detection.numel(),
+              session.value()->readings());
+    timeline.Overlay(appended.value());
+    Result<serve::ScanResult> reference =
+        service.Submit("fridge", series).get();
+    ASSERT_TRUE(reference.ok());
+    ExpectTimelineBitwiseEqual(timeline, reference.value(),
+                               "v1 + " + std::to_string(chunk_len));
+  }
 }
 
 TEST(ServiceCheckpointTest, CorruptCheckpointKeepsTheServiceServing) {

@@ -125,6 +125,29 @@ TEST(CsvLoaderTest, ReadErrorIsIoErrorNotShortParse) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(CsvLoaderTest, HugeTimestampGapIsRejectedNotExpanded) {
+  // The third timestamp sits 10^10 intervals past the second. Expanding
+  // that gap into missing readings used to abort the process with
+  // std::bad_alloc; its count is now bounded before anything is added.
+  auto house = data::ParseHouseCsv(
+      "timestamp,aggregate\n0,100\n60,150\n600000000000,120\n", 1);
+  ASSERT_FALSE(house.ok());
+  EXPECT_EQ(house.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(house.status().ToString().find("gap"), std::string::npos);
+}
+
+TEST(CsvLoaderTest, NonFiniteTimestampGapIsRejected) {
+  // strtod accepts "inf" and "nan": an infinite gap would expand forever,
+  // a NaN one would slip past every comparison.
+  for (const char* ts : {"inf", "nan"}) {
+    const std::string csv =
+        std::string("timestamp,aggregate\n0,100\n60,150\n") + ts + ",120\n";
+    auto house = data::ParseHouseCsv(csv, 1);
+    ASSERT_FALSE(house.ok()) << ts;
+    EXPECT_EQ(house.status().code(), StatusCode::kInvalidArgument) << ts;
+  }
+}
+
 TEST(CsvLoaderTest, PossessionSurveyRejectsMalformedHouseId) {
   // atoi would map "kitchen" to 0 and "12x" to 12, silently attributing
   // survey rows to the wrong household; both must be rejected instead.
@@ -334,6 +357,51 @@ TEST(ModelIoTest, SaveLoadEnsemblePreservesInference) {
 
 TEST(ModelIoTest, LoadFailsOnMissingDirectory) {
   EXPECT_FALSE(core::LoadEnsemble("/tmp/no_such_camal_ensemble").ok());
+}
+
+// A model directory whose manifest lists one member, \p row, over a
+// 4 KiB weight file.
+std::string ModelDirWithRow(const std::string& name, const std::string& row) {
+  const std::string dir = ::testing::TempDir() + "/" + name;
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  std::FILE* manifest = std::fopen((dir + "/manifest.csv").c_str(), "wb");
+  const std::string text =
+      "backbone,kernel_size,base_filters,validation_loss,file\n" + row + "\n";
+  std::fwrite(text.data(), 1, text.size(), manifest);
+  std::fclose(manifest);
+  std::FILE* weights = std::fopen((dir + "/member0.bin").c_str(), "wb");
+  const std::string bytes(4096, '\0');
+  std::fwrite(bytes.data(), 1, bytes.size(), weights);
+  std::fclose(weights);
+  return dir;
+}
+
+TEST(ModelIoTest, HugeBaseFiltersRowIsRejectedBeforeBuilding) {
+  // base_filters 2e9 used to abort with std::bad_alloc while building the
+  // member, before its weight file was read. f^2 * k * 4 bytes overflows
+  // int64 here, which must count as "more than the file holds".
+  const std::string dir = ModelDirWithRow(
+      "camal_huge_filters", "resnet,7,2000000000,0.1,member0.bin");
+  auto loaded = core::LoadEnsemble(dir);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ModelIoTest, HugeKernelSizeRowIsRejectedBeforeBuilding) {
+  // kernel_size 3e12 aborted the same way; it fits int64 once multiplied,
+  // so it is the file-size bound, not the overflow check, that rejects it
+  // — for both backbones.
+  for (const char* backbone : {"resnet", "inception"}) {
+    const std::string row =
+        std::string(backbone) + ",3000000000000,16,0.1,member0.bin";
+    const std::string dir = ModelDirWithRow("camal_huge_kernel", row);
+    auto loaded = core::LoadEnsemble(dir);
+    ASSERT_FALSE(loaded.ok()) << backbone;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << backbone;
+    std::filesystem::remove_all(dir);
+  }
 }
 
 // ---------------------------------------------------------------------------

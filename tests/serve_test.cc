@@ -24,6 +24,7 @@
 #include "serve/request_queue.h"
 #include "serve/service.h"
 #include "serve/window_stream.h"
+#include "session_timeline.h"
 
 namespace camal {
 namespace {
@@ -456,7 +457,8 @@ TEST(BatchRunnerTest, StitchMatchesPerWindowOracleBitwise) {
   // runner: every window is localized alone on a (1, 1, L) tensor, its
   // offsets listed here (stride grid, then the end tail when the grid
   // leaves one), and its votes summed in that order. Lone scans and
-  // sessions fed in uneven chunks must both land on the oracle's bits.
+  // sessions fed in uneven chunks (their suffixes overlaid into one
+  // timeline) must both land on the oracle's bits.
   core::CamalEnsemble ensemble = RandomEnsemble(56);
   core::CamalLocalizer localizer(&ensemble);
   const int64_t l = 16, stride = 8;
@@ -509,24 +511,34 @@ TEST(BatchRunnerTest, StitchMatchesPerWindowOracleBitwise) {
 
       serve::ScanResult lone = runner.Scan(series);
       EXPECT_EQ(lone.windows, static_cast<int64_t>(offsets.size()));
+      ASSERT_EQ(lone.windows_full, static_cast<int64_t>(offsets.size()));
+      ASSERT_EQ(lone.from, 0);
+      SessionTimeline lone_timeline;
+      lone_timeline.Overlay(lone);
       serve::SessionScanState state;
-      serve::ScanResult streamed;
-      for (int64_t from = 0; from < len; from += 11) {
-        const int64_t count = std::min<int64_t>(11, len - from);
-        streamed = runner.AppendScan(
-            &state, data::SeriesView(series.data() + from, count));
+      SessionTimeline streamed;
+      int64_t windows_full = 0;
+      for (int64_t begin = 0; begin < len; begin += 11) {
+        const int64_t count = std::min<int64_t>(11, len - begin);
+        serve::ScanResult suffix = runner.AppendScan(
+            &state, data::SeriesView(series.data() + begin, count));
+        ASSERT_EQ(suffix.from + suffix.detection.numel(), state.readings());
+        windows_full = suffix.windows_full;
+        streamed.Overlay(suffix);
       }
-      for (const serve::ScanResult* result : {&lone, &streamed}) {
-        ASSERT_EQ(result->windows_full, static_cast<int64_t>(offsets.size()))
+      ASSERT_EQ(windows_full, static_cast<int64_t>(offsets.size()));
+      for (const SessionTimeline* result : {&lone_timeline, &streamed}) {
+        ASSERT_EQ(static_cast<int64_t>(result->detection.size()), len)
             << "len " << len << " batch " << batch;
         for (int64_t t = 0; t < len; ++t) {
           const size_t s = static_cast<size_t>(t + pad);
           ASSERT_GT(cover[s], 0);
           if (on[s] > 0 && 2 * on[s] == cover[s]) ++split_votes;
-          EXPECT_EQ(result->detection.at(t),
+          EXPECT_EQ(result->detection[static_cast<size_t>(t)],
                     sum[s] / static_cast<float>(cover[s]))
               << "len " << len << " batch " << batch << " t " << t;
-          EXPECT_EQ(result->status.at(t), 2 * on[s] > cover[s] ? 1.0f : 0.0f)
+          EXPECT_EQ(result->status[static_cast<size_t>(t)],
+                    2 * on[s] > cover[s] ? 1.0f : 0.0f)
               << "len " << len << " batch " << batch << " t " << t;
         }
       }
@@ -1757,12 +1769,13 @@ TEST(WindowMathTest, GridHelpersAgreeWithComputedOffsets) {
 }
 
 TEST(BatchRunnerTest, AppendScanMatchesFromScratchBitwise) {
-  // The tentpole gate at the runner level: every append's full-series
-  // result must be bitwise-identical to a from-scratch scan of the
-  // concatenated series. Chunks cross every edge on purpose: a start
-  // shorter than one window (pad overlay), growth past the window
-  // boundary, a zero-length delta, an all-NaN delta, and tail-sized
-  // nibbles that leave/remove an end-aligned tail window.
+  // The tentpole gate at the runner level: after every append, the
+  // suffixes returned so far, each written at its `from`, must be
+  // bitwise-identical to a from-scratch scan of the concatenated series.
+  // Chunks cross every edge on purpose: a start shorter than one window
+  // (pad overlay), growth past the window boundary, a zero-length delta,
+  // an all-NaN delta, and tail-sized nibbles that leave/remove an
+  // end-aligned tail window.
   core::CamalEnsemble ensemble = RandomEnsemble(61);
   const serve::BatchRunnerOptions opt = SmallRunner(16, 8, 4, 650.0f);
   serve::BatchRunner incremental(&ensemble, opt);
@@ -1770,6 +1783,7 @@ TEST(BatchRunnerTest, AppendScanMatchesFromScratchBitwise) {
 
   Rng rng(62);
   serve::SessionScanState state;
+  SessionTimeline timeline;
   std::vector<float> concatenated;
   int64_t step = 0;
   for (int64_t chunk_len : {5, 7, 10, 0, 13, 40, 3, 8}) {
@@ -1784,27 +1798,34 @@ TEST(BatchRunnerTest, AppendScanMatchesFromScratchBitwise) {
     serve::ScanResult want = reference.Scan(concatenated);
     ASSERT_EQ(state.readings(),
               static_cast<int64_t>(concatenated.size()));
+    ASSERT_EQ(got.from + got.detection.numel(), state.readings());
     // windows_full mirrors what the from-scratch scan really fed.
     ASSERT_EQ(got.windows_full, want.windows)
         << "step " << step << " len " << concatenated.size();
     ASSERT_LE(got.windows, got.windows_full);
-    ExpectBitwiseEqual(got, want, "step " + std::to_string(step));
+    timeline.Overlay(got);
+    ExpectTimelineBitwiseEqual(timeline, want, "step " + std::to_string(step));
     ++step;
   }
   // By the end the series is long enough that persistence must have paid:
-  // the last append fed strictly fewer windows than a full rescan.
+  // the last append fed strictly fewer windows than a full rescan, and
+  // returned less than the whole series.
   ASSERT_GT(state.readings(), 64);
   serve::ScanResult last =
       incremental.AppendScan(&state, std::vector<float>{1200.0f});
   concatenated.push_back(1200.0f);
   EXPECT_LT(last.windows, last.windows_full);
-  ExpectBitwiseEqual(last, reference.Scan(concatenated), "final");
+  EXPECT_GT(last.from, 0);
+  ASSERT_EQ(last.from + last.detection.numel(), state.readings());
+  timeline.Overlay(last);
+  ExpectTimelineBitwiseEqual(timeline, reference.Scan(concatenated), "final");
 }
 
 TEST(BatchRunnerTest, AppendScanManyCoalescesDistinctSessionsBitwise) {
   // Distinct sessions' appends share one feed phase (the GEMM batches the
-  // service coalesces across households); each must still finalize to the
-  // exact from-scratch result, whatever its neighbors contributed.
+  // service coalesces across households); each session's overlaid
+  // suffixes must still equal the exact from-scratch result, whatever its
+  // neighbors contributed.
   core::CamalEnsemble ensemble = RandomEnsemble(63);
   const serve::BatchRunnerOptions opt = SmallRunner(16, 8, 4, 800.0f);
   serve::BatchRunner incremental(&ensemble, opt);
@@ -1813,6 +1834,7 @@ TEST(BatchRunnerTest, AppendScanManyCoalescesDistinctSessionsBitwise) {
   Rng rng(64);
   constexpr int kSessions = 3;
   serve::SessionScanState states[kSessions];
+  SessionTimeline timelines[kSessions];
   std::vector<float> concatenated[kSessions];
   const int64_t chunk_lens[kSessions] = {21, 9, 33};
   for (int round = 0; round < 3; ++round) {
@@ -1833,20 +1855,68 @@ TEST(BatchRunnerTest, AppendScanManyCoalescesDistinctSessionsBitwise) {
         incremental.AppendScanMany(state_ptrs, deltas);
     ASSERT_EQ(got.size(), static_cast<size_t>(kSessions));
     for (int s = 0; s < kSessions; ++s) {
+      SCOPED_TRACE("session " + std::to_string(s));
       serve::ScanResult want = reference.Scan(concatenated[s]);
       ASSERT_EQ(got[s].windows_full, want.windows);
-      ExpectBitwiseEqual(got[s], want,
-                         "round " + std::to_string(round) + " session " +
-                             std::to_string(s));
+      ASSERT_EQ(got[s].from + got[s].detection.numel(), states[s].readings());
+      timelines[s].Overlay(got[s]);
+      ExpectTimelineBitwiseEqual(timelines[s], want,
+                                 "round " + std::to_string(round));
+    }
+  }
+}
+
+TEST(BatchRunnerTest, SessionKeepsOneWindowAndOverlaysToScanAtEveryStride) {
+  // The trim, pinned: after every append a session holds exactly
+  // min(len, l) readings and accumulator slots — no more (memory would
+  // grow with history), no fewer (a later window would vote on a dropped
+  // timestamp) — and its overlaid suffixes still equal Scan. Strides
+  // cover 1, one that does not divide l, l itself and one past l (gaps
+  // between grid windows); chunks cover 0, 1, l - 1, l, l + 1 and
+  // multiples of the stride, some of them all-missing.
+  core::CamalEnsemble ensemble = RandomEnsemble(71);
+  const int64_t l = 16;
+  for (int64_t stride : {int64_t{1}, int64_t{5}, l, int64_t{23}}) {
+    SCOPED_TRACE("stride " + std::to_string(stride));
+    const serve::BatchRunnerOptions opt = SmallRunner(l, stride, 4, 700.0f);
+    serve::BatchRunner incremental(&ensemble, opt);
+    serve::BatchRunner reference(&ensemble, opt);
+    Rng rng(72 + static_cast<uint64_t>(stride));
+    const int64_t s = stride;
+    const int64_t sizes[] = {0, 1, l - 1, l, l + 1, s, 2 * s, 3 * s};
+    serve::SessionScanState state;
+    SessionTimeline timeline;
+    std::vector<float> concatenated;
+    for (int step = 0; step < 24; ++step) {
+      const int64_t count = sizes[rng.UniformInt(0, 7)];
+      const bool missing = rng.Uniform(0.0, 1.0) < 0.2;
+      std::vector<float> chunk(static_cast<size_t>(count));
+      for (auto& v : chunk) v = static_cast<float>(rng.Uniform(0.0, 3000.0));
+      if (missing) std::fill(chunk.begin(), chunk.end(), std::nanf(""));
+      concatenated.insert(concatenated.end(), chunk.begin(), chunk.end());
+      const std::string label = "step " + std::to_string(step);
+
+      serve::ScanResult suffix = incremental.AppendScan(&state, chunk);
+      const auto len = static_cast<int64_t>(concatenated.size());
+      ASSERT_EQ(state.readings(), len) << label;
+      ASSERT_EQ(suffix.from + suffix.detection.numel(), len) << label;
+      const auto live = static_cast<size_t>(std::min(len, l));
+      ASSERT_EQ(state.series.size(), live) << label;
+      ASSERT_EQ(state.prob_sum.size(), live) << label;
+      ASSERT_EQ(state.cover.size(), live) << label;
+      ASSERT_EQ(state.on_votes.size(), live) << label;
+      timeline.Overlay(suffix);
+      ExpectTimelineBitwiseEqual(timeline, reference.Scan(concatenated), label);
     }
   }
 }
 
 TEST(ServiceTest, SessionAppendsMatchFromScratchSubmitsBitwise) {
   // The tentpole gate at the service level: appends served through the
-  // queue/worker/coalescing machinery must equal one-shot Submits of the
-  // concatenated series, bit for bit. Futures are harvested before the
-  // reference Submits — worker 0 borrows the original ensemble.
+  // queue/worker/coalescing machinery, their suffixes overlaid, must
+  // equal one-shot Submits of the concatenated series, bit for bit.
+  // Futures are harvested before the reference Submits — worker 0
+  // borrows the original ensemble.
   core::CamalEnsemble ensemble = RandomEnsemble(65);
   serve::ServiceOptions service_opt;
   service_opt.workers = 2;
@@ -1868,7 +1938,7 @@ TEST(ServiceTest, SessionAppendsMatchFromScratchSubmitsBitwise) {
 
   Rng rng(66);
   std::vector<float> concatenated;
-  std::vector<serve::ScanResult> incremental;
+  SessionTimeline incremental;
   for (int64_t chunk_len : {11, 30, 0, 8, 26}) {
     std::vector<float> chunk(static_cast<size_t>(chunk_len));
     for (auto& v : chunk) v = static_cast<float>(rng.Uniform(0.0, 3000.0));
@@ -1877,17 +1947,19 @@ TEST(ServiceTest, SessionAppendsMatchFromScratchSubmitsBitwise) {
         session->AppendReadings(std::move(chunk)).get();
     ASSERT_TRUE(result.ok());
     EXPECT_GT(result.value().latency_seconds, 0.0);
-    incremental.push_back(std::move(result).value());
     EXPECT_EQ(session->readings(),
               static_cast<int64_t>(concatenated.size()));
+    ASSERT_EQ(result.value().from + result.value().detection.numel(),
+              session->readings());
+    incremental.Overlay(result.value());
 
     // Every prefix gets its reference one-shot scan via the owning
     // Submit overload (the request carries the buffer).
     Result<serve::ScanResult> reference =
         service.Submit("fridge", concatenated).get();
     ASSERT_TRUE(reference.ok());
-    ExpectBitwiseEqual(incremental.back(), reference.value(),
-                       "prefix " + std::to_string(concatenated.size()));
+    ExpectTimelineBitwiseEqual(incremental, reference.value(),
+                               "prefix " + std::to_string(concatenated.size()));
   }
 
   const serve::ServiceStats stats = service.stats();
@@ -1909,8 +1981,8 @@ TEST(ServiceTest, SessionAppendsMatchFromScratchSubmitsBitwise) {
 TEST(ServiceTest, ConcurrentSessionAppendsSerializePerSession) {
   // Appends to one session must serialize in submission order even when
   // fired without waiting, while distinct sessions proceed concurrently.
-  // Result lengths prove the order: the k-th append of a session resolves
-  // to the k-th cumulative prefix length.
+  // Result ends prove the order: the k-th append of a session resolves to
+  // a suffix ending at the k-th cumulative prefix length.
   core::CamalEnsemble ensemble = RandomEnsemble(67);
   serve::ServiceOptions service_opt;
   service_opt.workers = 2;
@@ -1945,24 +2017,33 @@ TEST(ServiceTest, ConcurrentSessionAppendsSerializePerSession) {
     }
   }
   // Harvest everything before the reference Submits (worker 0 borrows the
-  // original ensemble). The k-th future's length proves in-order serving.
-  std::vector<serve::ScanResult> finals;
+  // original ensemble). The k-th future's end proves in-order serving;
+  // the k-th timeline is the k-th prefix's.
+  std::vector<std::vector<SessionTimeline>> timelines(kSessions);
   for (int s = 0; s < kSessions; ++s) {
+    SessionTimeline timeline;
     for (int k = 0; k < kAppends; ++k) {
       Result<serve::ScanResult> result =
           futures[static_cast<size_t>(s)][static_cast<size_t>(k)].get();
       ASSERT_TRUE(result.ok()) << "session " << s << " append " << k;
-      ASSERT_EQ(result.value().detection.numel(), (k + 1) * chunk_len)
+      ASSERT_EQ(result.value().from + result.value().detection.numel(),
+                (k + 1) * chunk_len)
           << "session " << s << " append " << k << " served out of order";
-      if (k == kAppends - 1) finals.push_back(std::move(result).value());
+      timeline.Overlay(result.value());
+      timelines[static_cast<size_t>(s)].push_back(timeline);
     }
   }
-  for (int s = 0; s < kSessions; ++s) {
-    Result<serve::ScanResult> reference =
-        service.Submit("washer", concatenated[static_cast<size_t>(s)]).get();
-    ASSERT_TRUE(reference.ok());
-    ExpectBitwiseEqual(finals[static_cast<size_t>(s)], reference.value(),
-                       "session " + std::to_string(s));
+  for (size_t s = 0; s < timelines.size(); ++s) {
+    SCOPED_TRACE("session " + std::to_string(s));
+    for (size_t k = 0; k < timelines[s].size(); ++k) {
+      std::vector<float> prefix = concatenated[s];
+      prefix.resize((k + 1) * static_cast<size_t>(chunk_len));
+      Result<serve::ScanResult> reference =
+          service.Submit("washer", prefix).get();
+      ASSERT_TRUE(reference.ok());
+      ExpectTimelineBitwiseEqual(timelines[s][k], reference.value(),
+                                 "append " + std::to_string(k));
+    }
   }
   const serve::ServiceStats stats = service.stats();
   EXPECT_EQ(stats.session_appends, kSessions * kAppends);
@@ -2270,10 +2351,10 @@ TEST(ServiceTest, EvictionRacesAppendsWithoutCorruption) {
 }
 
 TEST(ServiceTest, ZeroLengthAndNaNTailAppendsStayBitwiseExact) {
-  // Session lifecycle edges from the satellite list: an empty delta must
-  // re-finalize without feeding anything, and an all-NaN tail must
-  // zero-fill its windows and clamp power to 0 at the missing readings —
-  // both bitwise-equal to the from-scratch scan.
+  // Session lifecycle edges: an empty delta must re-finalize without
+  // feeding anything, and an all-NaN tail must zero-fill its windows and
+  // clamp power to 0 at the missing readings — both, overlaid on the
+  // earlier suffixes, bitwise-equal to the from-scratch scan.
   core::CamalEnsemble ensemble = RandomEnsemble(81);
   serve::ServiceOptions service_opt;
   service_opt.workers = 2;
@@ -2288,20 +2369,29 @@ TEST(ServiceTest, ZeroLengthAndNaNTailAppendsStayBitwiseExact) {
 
   Rng rng(82);
   std::vector<float> concatenated;
+  SessionTimeline timeline;
   std::vector<float> normal(30);
   for (auto& v : normal) v = static_cast<float>(rng.Uniform(0.0, 1000.0));
   concatenated.insert(concatenated.end(), normal.begin(), normal.end());
-  ASSERT_TRUE(session->AppendReadings(normal).get().ok());
-
-  // Zero-length append: result covers the unchanged series.
-  Result<serve::ScanResult> empty_append =
-      session->AppendReadings(std::vector<float>()).get();
-  ASSERT_TRUE(empty_append.ok());
-  ASSERT_EQ(empty_append.value().detection.numel(), 30);
+  Result<serve::ScanResult> first = session->AppendReadings(normal).get();
+  ASSERT_TRUE(first.ok());
+  ASSERT_EQ(first.value().from, 0);
+  timeline.Overlay(first.value());
   Result<serve::ScanResult> reference =
       service.Submit("tv", concatenated).get();
   ASSERT_TRUE(reference.ok());
-  ExpectBitwiseEqual(empty_append.value(), reference.value(), "empty");
+  ExpectTimelineBitwiseEqual(timeline, reference.value(), "first");
+
+  // Zero-length append: its suffix ends at the unchanged series end.
+  Result<serve::ScanResult> empty_append =
+      session->AppendReadings(std::vector<float>()).get();
+  ASSERT_TRUE(empty_append.ok());
+  ASSERT_EQ(empty_append.value().from + empty_append.value().detection.numel(),
+            30);
+  timeline.Overlay(empty_append.value());
+  reference = service.Submit("tv", concatenated).get();
+  ASSERT_TRUE(reference.ok());
+  ExpectTimelineBitwiseEqual(timeline, reference.value(), "empty");
 
   // NaN tail: missing readings vote through zero-filled windows and the
   // power estimate is forced to 0 there.
@@ -2310,12 +2400,14 @@ TEST(ServiceTest, ZeroLengthAndNaNTailAppendsStayBitwiseExact) {
   Result<serve::ScanResult> nan_append =
       session->AppendReadings(nan_tail).get();
   ASSERT_TRUE(nan_append.ok());
-  for (int64_t t = 30; t < 42; ++t) {
-    EXPECT_EQ(nan_append.value().power.at(t), 0.0f) << "t=" << t;
+  ASSERT_EQ(nan_append.value().from + nan_append.value().detection.numel(), 42);
+  timeline.Overlay(nan_append.value());
+  for (size_t t = 30; t < 42; ++t) {
+    EXPECT_EQ(timeline.power[t], 0.0f) << "t=" << t;
   }
   reference = service.Submit("tv", concatenated).get();
   ASSERT_TRUE(reference.ok());
-  ExpectBitwiseEqual(nan_append.value(), reference.value(), "nan-tail");
+  ExpectTimelineBitwiseEqual(timeline, reference.value(), "nan-tail");
 }
 
 TEST(ServiceTest, SessionAndSubmitValidationShareOneErrorContract) {
