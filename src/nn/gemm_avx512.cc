@@ -1,8 +1,12 @@
 // AVX-512 instance of the GEMM tile kernel (see gemm_avx2.cc for the
 // dispatch scheme). CMake compiles this translation unit with -mavx512f
 // -mfma: the 16-wide inner loop of the tile becomes one zmm FMA per
-// accumulator row, and the narrower remainder loops fuse too. Full-width
-// stride-1 conv tiles run the register micro-kernel below.
+// accumulator row, and the narrower remainder loops fuse too. Unpooled
+// stride-1 conv bands run the register band below: 4x64 tiles, one 4x32
+// tile for 32-63 remaining columns, with the BN/ReLU epilogue applied in
+// registers. Pooled full-width stride-1 tiles take the same register loop
+// through ConvRegisterTile; the tile loop keeps partial tails and strided
+// tiles.
 
 #include "nn/gemm.h"
 
@@ -17,51 +21,108 @@ namespace internal {
 
 namespace {
 
-inline void RowFma(float w, __m512 b0, __m512 b1, __m512* c0, __m512* c1) {
-  const __m512 wv = _mm512_set1_ps(w);
-  *c0 = _mm512_fmadd_ps(wv, b0, *c0);
-  *c1 = _mm512_fmadd_ps(wv, b1, *c1);
+// Raw conv sums of a 4 x (16 * kNv) tile whose column 0 reads x, with the
+// 4 * kNv zmm accumulators in registers for the whole (ci, kk) loop (the
+// register block of Goto & van de Geijn, "Anatomy of High-Performance
+// Matrix Multiplication", ACM TOMS 34(3), 2008). Each step is one
+// broadcast per weight row, kNv unaligned 16-float input loads and
+// 4 * kNv FMAs, so every output is one FMA chain in (ci, kk) order and its
+// bits equal the tile loop's. The accumulators are __m512 values indexed
+// only by constants: GCC keeps a float[4][32] accumulator (or a 128-byte
+// vector type) on the stack and reloads it every step.
+template <int kNv>
+inline void ConvBandSums(const float* const* a, const float* x, int64_t cin,
+                         int64_t kernel, int64_t lpad, int64_t dil,
+                         __m512 (&c)[4][kNv]) {
+  for (auto& row : c) {
+    for (__m512& v : row) v = _mm512_setzero_ps();
+  }
+  if (cin <= 0) return;
+  // p = ci * kernel + kk runs on across input rows, and the row loop stops
+  // at the last row instead of counting ci: with a ci counter GCC 12 kept
+  // it and the row offset on the stack (a read-modify-write per row),
+  // which cost ~8% on the served shapes.
+  const float* in_row = x;
+  const float* const last_row = x + (cin - 1) * lpad;
+  int64_t p = 0;
+  for (;;) {
+    int64_t off = 0;  // kk * dil
+    for (const int64_t p_end = p + kernel; p < p_end; ++p, off += dil) {
+      __m512 bv[kNv];
+      for (int v = 0; v < kNv; ++v) {
+        bv[v] = _mm512_loadu_ps(in_row + off + 16 * v);
+      }
+      for (int r = 0; r < 4; ++r) {
+        const __m512 wv = _mm512_set1_ps(a[r][p]);
+        for (int v = 0; v < kNv; ++v) {
+          c[r][v] = _mm512_fmadd_ps(wv, bv[v], c[r][v]);
+        }
+      }
+    }
+    if (in_row == last_row) break;
+    in_row += lpad;
+  }
 }
 
-// Register-resident 4x32 conv micro-kernel (the register block of Goto &
-// van de Geijn, "Anatomy of High-Performance Matrix Multiplication", ACM
-// TOMS 34(3), 2008), found by ConvAccumulate in gemm_tile.inc for
-// full-width stride-1 tiles. The eight zmm accumulators stay in registers
-// for the whole (ci, kk) loop: each step is one broadcast per weight row,
-// two unaligned 16-float input loads and eight FMAs, and acc is written
-// once at the end. Every output is still one FMA chain in (ci, kk) order,
-// so the bits equal the tile loop's. Named __m512 locals are what keep
-// GCC from spilling: it keeps a float[4][32] accumulator (or a 128-byte
-// vector type) on the stack and reloads it every step.
+// The tile loop's hook for full-width stride-1 4x32 tiles (see
+// ConvAccumulate in gemm_tile.inc): only pooled runs reach it, since
+// unpooled ones take the register band. Writes the raw sums to acc.
 inline bool ConvRegisterTile(const float* const* a, const float* x, int64_t cin,
                              int64_t kernel, int64_t lpad, int64_t dil,
                              float (&acc)[4][32]) {
-  __m512 c00 = _mm512_setzero_ps(), c01 = _mm512_setzero_ps();
-  __m512 c10 = _mm512_setzero_ps(), c11 = _mm512_setzero_ps();
-  __m512 c20 = _mm512_setzero_ps(), c21 = _mm512_setzero_ps();
-  __m512 c30 = _mm512_setzero_ps(), c31 = _mm512_setzero_ps();
-  for (int64_t ci = 0; ci < cin; ++ci) {
-    const float* in_row = x + ci * lpad;
-    for (int64_t kk = 0; kk < kernel; ++kk) {
-      const int64_t p = ci * kernel + kk;
-      const float* b = in_row + kk * dil;
-      const __m512 b0 = _mm512_loadu_ps(b);
-      const __m512 b1 = _mm512_loadu_ps(b + 16);
-      RowFma(a[0][p], b0, b1, &c00, &c01);
-      RowFma(a[1][p], b0, b1, &c10, &c11);
-      RowFma(a[2][p], b0, b1, &c20, &c21);
-      RowFma(a[3][p], b0, b1, &c30, &c31);
+  __m512 c[4][2];
+  ConvBandSums<2>(a, x, cin, kernel, lpad, dil, c);
+  for (int r = 0; r < 4; ++r) {
+    for (int v = 0; v < 2; ++v) _mm512_storeu_ps(acc[r] + 16 * v, c[r][v]);
+  }
+  return true;
+}
+
+// One band tile: rows i0..i0+3, the 16 * kNv columns whose column 0 reads
+// x and writes y (ldy is y's row stride). The epilogue stays in
+// registers: s * acc + t is the tile loop's expression, so it contracts
+// (or not) exactly as ConvStoreTile's does, and the ReLU is a
+// compare-mask blend, v < 0 -> +0.0, which keeps NaN and -0.0 as the
+// scalar clamp does (_mm512_max_ps(v, 0) would return +0.0 for both).
+template <int kNv>
+inline void ConvBandTile(const float* const* a, const float* x, float* y,
+                         int64_t i0, int64_t ldy, const ConvGemmParams& p) {
+  __m512 c[4][kNv];
+  ConvBandSums<kNv>(a, x, p.cin, p.kernel, p.lpad, p.dilation, c);
+  const __m512 zero = _mm512_setzero_ps();
+  for (int r = 0; r < 4; ++r) {
+    const __m512 s = _mm512_set1_ps(
+        p.row_scale != nullptr ? p.row_scale[i0 + r] : 1.0f);
+    const __m512 t = _mm512_set1_ps(
+        p.row_shift != nullptr ? p.row_shift[i0 + r] : 0.0f);
+    for (int v = 0; v < kNv; ++v) {
+      __m512 out = s * c[r][v] + t;
+      if (p.relu) {
+        const __mmask16 neg = _mm512_cmp_ps_mask(out, zero, _CMP_LT_OQ);
+        out = _mm512_mask_blend_ps(neg, out, zero);
+      }
+      _mm512_storeu_ps(y + r * ldy + 16 * v, out);
     }
   }
-  _mm512_storeu_ps(acc[0], c00);
-  _mm512_storeu_ps(acc[0] + 16, c01);
-  _mm512_storeu_ps(acc[1], c10);
-  _mm512_storeu_ps(acc[1] + 16, c11);
-  _mm512_storeu_ps(acc[2], c20);
-  _mm512_storeu_ps(acc[2] + 16, c21);
-  _mm512_storeu_ps(acc[3], c30);
-  _mm512_storeu_ps(acc[3] + 16, c31);
-  return true;
+}
+
+// The band hook of gemm_tile.inc for 4-row unpooled stride-1 bands:
+// 4x64 tiles over every full 64-column group, then one 4x32 tile when
+// 32-63 columns remain, so every full 32-column group runs here. Returns
+// the column where the tile loop resumes (the partial tail).
+inline int64_t ConvRegisterBand(const float* const (&a)[4], const float* xpad,
+                                float* y, int64_t i0, int64_t lout,
+                                const ConvGemmParams& p) {
+  float* band = y + i0 * lout;
+  int64_t j0 = 0;
+  for (; j0 + 64 <= lout; j0 += 64) {
+    ConvBandTile<4>(a, xpad + j0, band + j0, i0, lout, p);
+  }
+  if (j0 + 32 <= lout) {
+    ConvBandTile<2>(a, xpad + j0, band + j0, i0, lout, p);
+    j0 += 32;
+  }
+  return j0;
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -333,6 +335,20 @@ std::vector<OracleCase> OracleCases() {
       }
     }
   }
+  // Stride-1 lengths that split the AVX-512 register band into 4x64 tiles
+  // only (64), plus one 4x32 tile (96, 160), plus a partial tail left to
+  // the tile loop (65, 200), or plus both (100, 127, 191); undilated and
+  // dilated.
+  for (int64_t lout : {64, 65, 96, 100, 127, 160, 191, 200}) {
+    for (int64_t cout : {5, 16, 32}) {
+      for (int64_t dil : {1, 2}) {
+        const bool scale = mix & 1, shift = mix & 2, relu = mix & 4;
+        mix = (mix + 1) % 8;
+        cases.push_back({16, cout, 5, lout, 1, dil, ConvPool::kNone, 1, scale,
+                         shift, relu});
+      }
+    }
+  }
   // Fused max and average pools, including strided ones.
   for (ConvPool pool : {ConvPool::kMax, ConvPool::kAvg}) {
     for (int64_t pw : {2, 4, 8}) {
@@ -399,7 +415,8 @@ std::vector<float> ConvOracle(const std::vector<float>& w,
 std::string Describe(const OracleCase& c) {
   std::ostringstream os;
   os << "cin=" << c.cin << " cout=" << c.cout << " k=" << c.kernel;
-  os << " lout=" << c.lout << " stride=" << c.stride;
+  os << " lout=" << c.lout << " stride=" << c.stride
+     << " dilation=" << c.dilation;
   os << " pool=" << static_cast<int>(c.pool) << "/" << c.pool_size;
   return os.str();
 }
@@ -408,6 +425,21 @@ uint32_t Bits(float f) {
   uint32_t u = 0;
   std::memcpy(&u, &f, sizeof(u));
   return u;
+}
+
+// Outputs of `kernel` whose bits differ from the oracle's.
+int64_t OracleMismatches(ConvKernel kernel, bool fused,
+                         const std::vector<float>& w,
+                         const std::vector<float>& xpad,
+                         const nn::ConvGemmParams& p) {
+  const std::vector<float> want = ConvOracle(w, xpad, p, fused);
+  std::vector<float> got(want.size());
+  kernel(w.data(), xpad.data(), got.data(), p);
+  int64_t bad = 0;
+  for (size_t i = 0; i < want.size(); ++i) {
+    if (Bits(got[i]) != Bits(want[i])) ++bad;
+  }
+  return bad;
 }
 
 void ExpectTierMatchesOracle(ConvKernel kernel, bool fused) {
@@ -437,18 +469,12 @@ void ExpectTierMatchesOracle(ConvKernel kernel, bool fused) {
     p.row_scale = c.scale ? scale.data() : nullptr;
     p.row_shift = c.shift ? shift.data() : nullptr;
     ASSERT_EQ(nn::ConvGemmOutputLength(p), c.lout);
-    const std::vector<float> want = ConvOracle(w, xpad, p, fused);
-    std::vector<float> got(want.size());
-    kernel(w.data(), xpad.data(), got.data(), p);
-    int64_t bad = 0;
-    for (size_t i = 0; i < want.size(); ++i) {
-      if (Bits(got[i]) != Bits(want[i])) ++bad;
-    }
+    const int64_t bad = OracleMismatches(kernel, fused, w, xpad, p);
     if (bad > 0 && mismatches == 0) {
       ADD_FAILURE() << "first failing case: " << Describe(c);
     }
     mismatches += bad;
-    outputs += static_cast<int64_t>(want.size());
+    outputs += c.cout * (c.lout / c.pool_size);
   }
   EXPECT_EQ(mismatches, 0) << mismatches << " of " << outputs
                            << " outputs differ from the scalar chain";
@@ -477,6 +503,64 @@ TEST(ConvOracleTest, PortableTierIsOneUnfusedChainPerOutput) {
   }
   ExpectTierMatchesOracle(&nn::internal::ConvGemmEpilogueGeneric,
                           /*fused=*/false);
+}
+
+TEST(ConvOracleTest, ReluKeepsNanAndNegativeZeroOnEveryTier) {
+  // Scale -1 and shift -0.0 turn every all-zero receptive field into
+  // -1 * (+0) + (-0) = -0.0, which the ReLU clamp (v < 0) keeps, as it
+  // keeps NaN; a max(v, 0) would turn both into +0.0. The all-zero
+  // columns 40-79 straddle the two 4x64 tiles of the AVX-512 register
+  // band.
+  constexpr int64_t kChannels = 16, kKernel = 5, kLength = 128;
+  constexpr int64_t kZeroBegin = 40, kZeroLength = 44, kNanAt = 100;
+  nn::ConvGemmParams p;
+  p.cout = kChannels;
+  p.cin = kChannels;
+  p.kernel = kKernel;
+  p.lpad = kLength + kKernel - 1;
+  p.relu = true;
+  Rng rng(67);
+  std::vector<float> w(static_cast<size_t>(kChannels * kChannels * kKernel));
+  std::vector<float> xpad(static_cast<size_t>(kChannels * p.lpad));
+  for (float& f : w) f = static_cast<float>(rng.Uniform(-1, 1));
+  for (float& f : xpad) f = static_cast<float>(rng.Uniform(-1, 1));
+  for (int64_t ci = 0; ci < kChannels; ++ci) {
+    std::fill_n(xpad.begin() + ci * p.lpad + kZeroBegin, kZeroLength, 0.0f);
+  }
+  xpad[3 * p.lpad + kNanAt] = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> scale(kChannels, -1.0f), shift(kChannels, -0.0f);
+  p.row_scale = scale.data();
+  p.row_shift = shift.data();
+  ASSERT_EQ(nn::ConvGemmOutputLength(p), kLength);
+
+  int64_t nans = 0, negative_zeros = 0;
+  for (float v : ConvOracle(w, xpad, p, /*fused=*/true)) {
+    nans += std::isnan(v) ? 1 : 0;
+    negative_zeros += Bits(v) == Bits(-0.0f) ? 1 : 0;
+  }
+  // Columns whose kKernel readings all lie in the zero run, and columns
+  // that read the NaN, in every output row.
+  EXPECT_EQ(negative_zeros, (kZeroLength - kKernel + 1) * kChannels);
+  EXPECT_EQ(nans, kKernel * kChannels);
+
+  if (nn::internal::HasAvx512Gemm() && kSimdTiersFuse) {
+    EXPECT_EQ(OracleMismatches(&nn::internal::ConvGemmEpilogueAvx512,
+                               /*fused=*/true, w, xpad, p),
+              0)
+        << "AVX-512 tier";
+  }
+  if (nn::internal::HasAvx2Gemm() && kSimdTiersFuse) {
+    EXPECT_EQ(OracleMismatches(&nn::internal::ConvGemmEpilogueAvx2,
+                               /*fused=*/true, w, xpad, p),
+              0)
+        << "AVX2 tier";
+  }
+  if (kPortableTierUnfused) {
+    EXPECT_EQ(OracleMismatches(&nn::internal::ConvGemmEpilogueGeneric,
+                               /*fused=*/false, w, xpad, p),
+              0)
+        << "portable tier";
+  }
 }
 
 TEST(Conv1dInferenceTest, NoBiasAndSingleSample) {
