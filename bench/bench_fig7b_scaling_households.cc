@@ -202,11 +202,12 @@ void Run() {
 
   // ------------------------------------------------------------------
   // Multi-core serving: households x worker-count scaling through the
-  // async front-end. serve::Service feeds a worker pool (one BatchRunner +
-  // ensemble replica per worker) from its admission queue; the thread
-  // budget left over after the worker fan-out serves the conv GEMMs
-  // inside each worker. Worker counts are capped by CAMAL_THREADS — rerun
-  // with CAMAL_THREADS=4 (or more) to see the multi-core speedup.
+  // async front-end. serve::Service feeds a worker pool (one BatchRunner
+  // per worker, all over the one shared ensemble) from its admission
+  // queue; the thread budget left over after the worker fan-out serves
+  // the conv GEMMs inside each worker. Worker counts are capped by
+  // CAMAL_THREADS — rerun with CAMAL_THREADS=4 (or more) to see the
+  // multi-core speedup.
   // ------------------------------------------------------------------
   std::vector<int> worker_counts;
   for (int s : {1, 2, 4, 8}) {
@@ -253,7 +254,7 @@ void Run() {
         }
         return windows;
       };
-      scan_cohort();  // warm replicas, scratch, allocator
+      scan_cohort();  // warm runner scratch, allocator
       Stopwatch watch;
       const int64_t windows = scan_cohort();
       const double seconds = watch.ElapsedSeconds();

@@ -108,7 +108,7 @@ int Run() {
   double per_scan_s;
   {
     serve::BatchRunner calibration(&ensemble, runner);
-    calibration.Scan(views[0]);  // warm scratch + replicas
+    calibration.Scan(views[0]);  // warm scratch
     const int reps = params.mode == eval::BenchMode::kSmoke ? 8 : 32;
     Stopwatch watch;
     for (int r = 0; r < reps; ++r) {
@@ -129,7 +129,7 @@ int Run() {
   serve::Service service(service_opt);
   CAMAL_CHECK(service.RegisterAppliance("appliance", &ensemble, runner).ok());
   CAMAL_CHECK(service.Start().ok());
-  for (size_t i = 0; i < 8; ++i) {  // warm every worker's replicas
+  for (size_t i = 0; i < 8; ++i) {  // warm every worker's runner scratch
     serve::ScanRequest request;
     request.appliance = "appliance";
     request.series = views[i % views.size()];

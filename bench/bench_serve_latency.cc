@@ -91,7 +91,7 @@ void DeepQueueScenario(const eval::BenchParams& params,
       }
       return results;
     };
-    burst();  // warm replicas, scratch, allocator
+    burst();  // warm runner scratch, allocator
     // Counters are cumulative since Start; snapshot after the warm-up so
     // the table reports the timed burst alone.
     const serve::ServiceStats warm = service.stats();
@@ -218,7 +218,7 @@ void SoakScenario(const eval::BenchParams& params,
     return chunk;
   };
 
-  // Warm-up round (replicas, scratch, per-session state) before the RSS
+  // Warm-up round (runner scratch, per-session state) before the RSS
   // baseline, so "growth" below measures the steady state, not the first
   // allocations.
   {
@@ -560,7 +560,7 @@ void Run() {
       }
       return results;
     };
-    burst();  // warm replicas, scratch, allocator
+    burst();  // warm runner scratch, allocator
     // Counters are cumulative since Start; snapshot after the warm-up so
     // the sweep totals below cover the timed bursts alone.
     const serve::ServiceStats warm = service.stats();

@@ -122,8 +122,8 @@ int main() {
   }
 
   // One service for every appliance: each worker owns a BatchRunner per
-  // appliance over its own ensemble replica, and requests are admitted as
-  // they arrive instead of whole-cohort batches.
+  // appliance, all of them reading the one registered ensemble, and
+  // requests are admitted as they arrive instead of whole-cohort batches.
   serve::Service service;  // workers = CAMAL_THREADS, queue capacity 256
   for (TrainedAppliance& appliance : trained) {
     serve::BatchRunnerOptions runner;
@@ -131,8 +131,8 @@ int main() {
     runner.stream.stride = kWindow / 2;
     runner.stream.batch_size = 32;
     runner.appliance_avg_power_w = appliance.spec.avg_power_w;
-    // Registration borrows the ensemble; the service clones per-worker
-    // replicas at Start.
+    // Registration borrows the ensemble; every worker reads it, and
+    // Start copies nothing.
     Status st = service.RegisterAppliance(appliance.spec.name,
                                           &appliance.ensemble, runner);
     if (!st.ok()) {

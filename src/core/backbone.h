@@ -16,11 +16,17 @@ const char* BackboneKindName(BackboneKind kind);
 
 /// A CAM-compatible classifier: any network ending in Global Average
 /// Pooling followed by a linear softmax head (the structural requirement
-/// of Definition II.1). It must cache the pre-GAP feature maps of its most
-/// recent Forward and expose the head weights so the localizer can form
-/// CAM_c(t) = sum_k w_kc f_k(t).
+/// of Definition II.1). It exposes the pre-GAP feature maps and the head
+/// weights so the localizer can form CAM_c(t) = sum_k w_kc f_k(t).
 class CamBackbone : public nn::Module {
  public:
+  /// Serving forward, (N, C_in, L) -> (N, num_classes) logits, writing the
+  /// pre-GAP feature maps (N, K, L) to \p feature_maps. Reads the model
+  /// only, so threads may share it; needs eval mode (CamalEnsemble sets
+  /// it), or BatchNorm would update its running statistics.
+  virtual nn::Tensor Infer(const nn::Tensor& x,
+                           nn::Tensor* feature_maps) const = 0;
+
   /// Feature maps (N, K, L) that fed the GAP in the last Forward call.
   virtual const nn::Tensor& feature_maps() const = 0;
 

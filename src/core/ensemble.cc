@@ -29,6 +29,20 @@ void MakeBatch(const data::WindowDataset& ds,
   }
 }
 
+// Mean class-1 softmax probability over member logits (N, 2), summed in
+// member order.
+nn::Tensor MeanClassOneProbability(const std::vector<nn::Tensor>& logits) {
+  CAMAL_CHECK(!logits.empty());
+  const int64_t n = logits.front().dim(0);
+  nn::Tensor prob({n});
+  for (const nn::Tensor& member_logits : logits) {
+    nn::Tensor p = nn::Softmax(member_logits);
+    for (int64_t i = 0; i < n; ++i) prob.at(i) += p.at2(i, 1);
+  }
+  prob.ScaleInPlace(1.0f / static_cast<float>(logits.size()));
+  return prob;
+}
+
 }  // namespace
 
 double EvaluateClassifierLoss(CamBackbone* model,
@@ -178,77 +192,22 @@ Result<CamalEnsemble> CamalEnsemble::Train(
   return CamalEnsemble(std::move(candidates));
 }
 
-CamalEnsemble CamalEnsemble::Clone() {
-  std::vector<EnsembleMember> members;
-  members.reserve(members_.size());
-  for (auto& m : members_) {
-    Rng rng(0);  // weights are overwritten below
-    EnsembleMember copy;
-    copy.kernel_size = m.kernel_size;
-    copy.validation_loss = m.validation_loss;
-    // Copy the member's full config (depth, channels, classes — not just
-    // the manifest fields) so replicas match structurally.
-    if (m.model->kind() == BackboneKind::kInception) {
-      const auto* src = static_cast<const InceptionClassifier*>(m.model.get());
-      copy.model = std::make_unique<InceptionClassifier>(src->config(), &rng);
-    } else {
-      const auto* src = static_cast<const ResNetClassifier*>(m.model.get());
-      copy.model = std::make_unique<ResNetClassifier>(src->config(), &rng);
-    }
-    const auto src_params = m.model->Parameters();
-    const auto dst_params = copy.model->Parameters();
-    CAMAL_CHECK_EQ(src_params.size(), dst_params.size());
-    for (size_t i = 0; i < src_params.size(); ++i) {
-      CAMAL_CHECK(dst_params[i]->value.SameShape(src_params[i]->value));
-      dst_params[i]->value = src_params[i]->value;
-    }
-    const auto src_buffers = m.model->Buffers();
-    const auto dst_buffers = copy.model->Buffers();
-    CAMAL_CHECK_EQ(src_buffers.size(), dst_buffers.size());
-    for (size_t i = 0; i < src_buffers.size(); ++i) {
-      CAMAL_CHECK(dst_buffers[i]->SameShape(*src_buffers[i]));
-      *dst_buffers[i] = *src_buffers[i];
-    }
-    copy.model->SetTraining(false);
-    members.push_back(std::move(copy));
-  }
-  return CamalEnsemble(std::move(members));
-}
-
-std::vector<std::unique_ptr<CamalEnsemble>> CamalEnsemble::CloneReplicas(
-    int count) {
-  CAMAL_CHECK_GE(count, 0);
-  std::vector<std::unique_ptr<CamalEnsemble>> replicas;
-  replicas.reserve(static_cast<size_t>(count));
-  for (int i = 0; i < count; ++i) {
-    replicas.push_back(std::make_unique<CamalEnsemble>(Clone()));
-  }
-  return replicas;
-}
-
-nn::Tensor CamalEnsemble::MeanClassOneProbability(const nn::Tensor& inputs,
-                                                  bool use_inference_path) {
-  CAMAL_CHECK(!members_.empty());
-  const int64_t n = inputs.dim(0);
-  nn::Tensor prob({n});
-  for (auto& member : members_) {
-    member.model->SetTraining(false);
-    nn::Tensor logits = use_inference_path
-                            ? member.model->ForwardInference(inputs)
-                            : member.model->Forward(inputs);
-    nn::Tensor p = nn::Softmax(logits);
-    for (int64_t i = 0; i < n; ++i) prob.at(i) += p.at2(i, 1);
-  }
-  prob.ScaleInPlace(1.0f / static_cast<float>(members_.size()));
-  return prob;
-}
-
 nn::Tensor CamalEnsemble::DetectProbability(const nn::Tensor& inputs) {
-  return MeanClassOneProbability(inputs, /*use_inference_path=*/false);
+  std::vector<nn::Tensor> logits;
+  for (auto& member : members_) logits.push_back(member.model->Forward(inputs));
+  return MeanClassOneProbability(logits);
 }
 
-nn::Tensor CamalEnsemble::DetectProbabilityBatched(const nn::Tensor& inputs) {
-  return MeanClassOneProbability(inputs, /*use_inference_path=*/true);
+nn::Tensor CamalEnsemble::DetectProbabilityBatched(
+    const nn::Tensor& inputs, std::vector<nn::Tensor>* feature_maps) const {
+  if (feature_maps != nullptr) feature_maps->resize(members_.size());
+  std::vector<nn::Tensor> logits;
+  nn::Tensor discarded;
+  for (size_t m = 0; m < members_.size(); ++m) {
+    logits.push_back(members_[m].model->Infer(
+        inputs, feature_maps != nullptr ? &(*feature_maps)[m] : &discarded));
+  }
+  return MeanClassOneProbability(logits);
 }
 
 int64_t CamalEnsemble::NumParameters() const {

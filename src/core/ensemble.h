@@ -78,31 +78,19 @@ class CamalEnsemble {
   CamalEnsemble(CamalEnsemble&&) = default;
   CamalEnsemble& operator=(CamalEnsemble&&) = default;
 
-  /// Deep copy: fresh backbone instances with identical weights and
-  /// buffers (BatchNorm running statistics), in eval mode. Members cache
-  /// per-forward state (the feature maps CAM extraction reads), so
-  /// concurrent scans need one replica per thread — this is what
-  /// serve::Service clones for each request worker.
-  CamalEnsemble Clone();
-
-  /// Replica plumbing for multi-worker serving: \p count independent deep
-  /// copies (heap-allocated so their addresses stay stable while
-  /// BatchRunners hold pointers to them). Must be called from one thread
-  /// while no forward pass runs on this ensemble — Clone reads weights,
-  /// buffers, and per-member state that forwards mutate.
-  std::vector<std::unique_ptr<CamalEnsemble>> CloneReplicas(int count);
-
   /// Ensemble detection probability (step 1 of §IV-B): the mean of member
   /// class-1 softmax probabilities, shape (N) for inputs (N, C, L).
   /// Member forward passes also cache the feature maps used for CAMs.
   nn::Tensor DetectProbability(const nn::Tensor& inputs);
 
-  /// Same probability through the batched inference runtime: every member
-  /// runs its inference-only forward (im2col+GEMM convolutions, fused
-  /// BatchNorm, no backward caches) over the whole batch in one pass.
-  /// Feature maps are cached for CAM extraction exactly like
-  /// DetectProbability. Agrees with DetectProbability to float rounding.
-  nn::Tensor DetectProbabilityBatched(const nn::Tensor& inputs);
+  /// Same probability through each member's const serving forward
+  /// (CamBackbone::Infer: GEMM convolutions, fused BatchNorm, no caches)
+  /// over the whole batch in one pass; \p feature_maps, when set, gets the
+  /// members' pre-GAP maps in member order. Reads the ensemble only, so
+  /// threads may share it. Agrees with DetectProbability to float rounding.
+  nn::Tensor DetectProbabilityBatched(
+      const nn::Tensor& inputs,
+      std::vector<nn::Tensor>* feature_maps = nullptr) const;
 
   std::vector<EnsembleMember>& members() { return members_; }
   const std::vector<EnsembleMember>& members() const { return members_; }
@@ -111,12 +99,11 @@ class CamalEnsemble {
   int64_t NumParameters() const;
 
  private:
+  /// Every way to build an ensemble ends here: eval mode, set once.
   explicit CamalEnsemble(std::vector<EnsembleMember> members)
-      : members_(std::move(members)) {}
-
-  /// Shared body of DetectProbability / DetectProbabilityBatched.
-  nn::Tensor MeanClassOneProbability(const nn::Tensor& inputs,
-                                     bool use_inference_path);
+      : members_(std::move(members)) {
+    for (auto& member : members_) member.model->SetTraining(false);
+  }
 
   std::vector<EnsembleMember> members_;
 };

@@ -94,6 +94,20 @@ nn::Tensor InceptionClassifier::ForwardBlock(Block* block,
   return block->relu->Forward(block->bn->Forward(concat));
 }
 
+nn::Tensor InceptionClassifier::InferBlock(const Block& block,
+                                           const nn::Tensor& x) const {
+  const nn::Tensor branch_in =
+      block.bottleneck ? block.bottleneck->ForwardInference(x) : x;
+  std::vector<nn::Tensor> parts;
+  for (const auto& conv : block.branches) {
+    parts.push_back(conv->ForwardInference(branch_in));
+  }
+  parts.push_back(
+      block.pool_proj->ForwardInference(block.pool->ForwardInference(x)));
+  nn::Tensor concat = nn::ConcatChannels(parts);
+  return block.relu->ForwardInference(block.bn->ForwardInference(concat));
+}
+
 nn::Tensor InceptionClassifier::BackwardBlock(Block* block,
                                               const nn::Tensor& grad) {
   nn::Tensor g = block->bn->Backward(block->relu->Backward(grad));
@@ -126,6 +140,16 @@ nn::Tensor InceptionClassifier::Forward(const nn::Tensor& x) {
   feature_maps_ = final_relu_->Forward(nn::Add(h, skip));
   nn::Tensor pooled = gap_->Forward(feature_maps_);
   return head_seq_->Forward(pooled);
+}
+
+nn::Tensor InceptionClassifier::Infer(const nn::Tensor& x,
+                                      nn::Tensor* feature_maps) const {
+  nn::Tensor h = x;
+  for (const Block& block : blocks_) h = InferBlock(block, h);
+  nn::Tensor skip = shortcut_->ForwardInference(x);
+  *feature_maps = final_relu_->ForwardInference(nn::Add(h, skip));
+  nn::Tensor pooled = gap_->ForwardInference(*feature_maps);
+  return head_seq_->ForwardInference(pooled);
 }
 
 nn::Tensor InceptionClassifier::Backward(const nn::Tensor& grad_output) {

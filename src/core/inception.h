@@ -42,6 +42,9 @@ class InceptionClassifier : public CamBackbone {
 
   nn::Tensor Forward(const nn::Tensor& x) override;
   nn::Tensor Backward(const nn::Tensor& grad_output) override;
+  /// Eval-mode forward through every layer's ForwardInference, no caches.
+  nn::Tensor Infer(const nn::Tensor& x,
+                   nn::Tensor* feature_maps) const override;
   void CollectParameters(std::vector<nn::Parameter*>* out) override;
   void CollectBuffers(std::vector<nn::Tensor*>* out) override;
   void SetTraining(bool training) override;
@@ -50,8 +53,6 @@ class InceptionClassifier : public CamBackbone {
   const nn::Tensor& head_weights() const override;
   BackboneKind kind() const override { return BackboneKind::kInception; }
   int64_t base_filters() const override { return config_.base_filters; }
-
-  const InceptionConfig& config() const { return config_; }
 
  private:
   struct Block {
@@ -68,6 +69,7 @@ class InceptionClassifier : public CamBackbone {
 
   nn::Tensor ForwardBlock(Block* block, const nn::Tensor& x);
   nn::Tensor BackwardBlock(Block* block, const nn::Tensor& grad);
+  nn::Tensor InferBlock(const Block& block, const nn::Tensor& x) const;
 
   InceptionConfig config_;
   std::vector<Block> blocks_;

@@ -8,7 +8,7 @@
 
 namespace camal::core {
 
-CamalLocalizer::CamalLocalizer(CamalEnsemble* ensemble,
+CamalLocalizer::CamalLocalizer(const CamalEnsemble* ensemble,
                                LocalizerOptions options)
     : ensemble_(ensemble), options_(options) {
   CAMAL_CHECK(ensemble != nullptr);
@@ -19,19 +19,20 @@ LocalizationResult CamalLocalizer::Localize(const nn::Tensor& inputs) {
   const int64_t n = inputs.dim(0), l = inputs.dim(2);
 
   LocalizationResult result;
-  // Step 1-2: ensemble probability through the batched inference runtime
-  // (this also caches member feature maps).
-  result.probabilities = ensemble_->DetectProbabilityBatched(inputs);
+  // Step 1-2: ensemble probability through the batched inference runtime,
+  // which writes each member's feature maps to this localizer's scratch.
+  result.probabilities =
+      ensemble_->DetectProbabilityBatched(inputs, &feature_maps_);
 
   // Step 3-4: per-member class-1 CAMs, max-normalized, averaged. The CAM
   // tensors are member scratch reused across calls: batches of one scan
   // share a shape, so steady state allocates nothing here.
-  cam_scratch_.resize(ensemble_->members().size());
-  size_t m = 0;
-  for (auto& member : ensemble_->members()) {
-    nn::Tensor* cam = &cam_scratch_[m++];
-    ComputeCamInto(member.model->feature_maps(),
-                   member.model->head_weights(), /*class_index=*/1, cam);
+  cam_scratch_.resize(feature_maps_.size());
+  for (size_t m = 0; m < feature_maps_.size(); ++m) {
+    nn::Tensor* cam = &cam_scratch_[m];
+    ComputeCamInto(feature_maps_[m],
+                   ensemble_->members()[m].model->head_weights(),
+                   /*class_index=*/1, cam);
     NormalizeCamByMaxInPlace(cam);
   }
   result.ensemble_cam = AverageCams(cam_scratch_);

@@ -48,21 +48,23 @@ struct LocalizerOptions {
 /// module" (Table IV).
 class CamalLocalizer {
  public:
-  /// \p ensemble is borrowed and must outlive the localizer.
-  explicit CamalLocalizer(CamalEnsemble* ensemble,
+  /// \p ensemble is borrowed read-only and must outlive the localizer.
+  explicit CamalLocalizer(const CamalEnsemble* ensemble,
                           LocalizerOptions options = {});
 
   /// Runs the full pipeline on (N, 1, L) scaled inputs.
   LocalizationResult Localize(const nn::Tensor& inputs);
 
  private:
-  CamalEnsemble* ensemble_;
+  const CamalEnsemble* ensemble_;
   LocalizerOptions options_;
-  /// Per-member CAM scratch reused across Localize calls (a household scan
-  /// localizes hundreds of equally-shaped batches; reallocating every CAM
-  /// per batch dominated small-batch scans). One localizer instance is
+  /// Per-member scratch reused across Localize calls: the feature maps the
+  /// ensemble's forward writes, and the CAMs formed from them (a household
+  /// scan localizes hundreds of equally-shaped batches; reallocating every
+  /// CAM per batch dominated small-batch scans). One localizer instance is
   /// therefore single-threaded state — serve::Service gives each worker
-  /// its own localizer over its own ensemble replica.
+  /// its own localizer, all over the one shared ensemble.
+  std::vector<nn::Tensor> feature_maps_;
   std::vector<nn::Tensor> cam_scratch_;
 };
 

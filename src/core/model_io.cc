@@ -99,7 +99,6 @@ Result<CamalEnsemble> LoadEnsemble(const std::string& directory) {
       return Status::InvalidArgument("unknown backbone '" + row[0] + "'");
     }
     CAMAL_RETURN_NOT_OK(nn::LoadParameters(member.model.get(), weights));
-    member.model->SetTraining(false);
     members.push_back(std::move(member));
   }
   if (members.empty()) {

@@ -63,10 +63,15 @@ nn::Tensor ResNetClassifier::Forward(const nn::Tensor& x) {
   return head_seq_->Forward(pooled);
 }
 
-nn::Tensor ResNetClassifier::ForwardInference(const nn::Tensor& x) {
-  feature_maps_ = body_->ForwardInference(x);
-  nn::Tensor pooled = gap_->ForwardInference(feature_maps_);
+nn::Tensor ResNetClassifier::Infer(const nn::Tensor& x,
+                                   nn::Tensor* feature_maps) const {
+  *feature_maps = body_->ForwardInference(x);
+  nn::Tensor pooled = gap_->ForwardInference(*feature_maps);
   return head_seq_->ForwardInference(pooled);
+}
+
+nn::Tensor ResNetClassifier::ForwardInference(const nn::Tensor& x) {
+  return Infer(x, &feature_maps_);
 }
 
 nn::Tensor ResNetClassifier::Backward(const nn::Tensor& grad_output) {

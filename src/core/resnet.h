@@ -31,8 +31,8 @@ struct ResNetConfig {
 /// applied after the shortcut addition), followed by Global Average Pooling
 /// and a linear softmax head.
 ///
-/// The layer keeps the post-GAP feature maps of the most recent Forward so
-/// the CAM can be extracted (Definition II.1): CAM_c(t) = sum_k w_kc f_k(t).
+/// The pre-GAP feature maps are what the CAM is extracted from
+/// (Definition II.1): CAM_c(t) = sum_k w_kc f_k(t).
 class ResNetClassifier : public CamBackbone {
  public:
   ResNetClassifier(const ResNetConfig& config, Rng* rng);
@@ -42,16 +42,16 @@ class ResNetClassifier : public CamBackbone {
   nn::Tensor Backward(const nn::Tensor& grad_output) override;
 
   /// Batched inference path: im2col+GEMM convolutions and fused BatchNorm,
-  /// no backward caches. Still updates feature_maps() so CAM extraction
-  /// works after it.
+  /// no backward caches.
+  nn::Tensor Infer(const nn::Tensor& x,
+                   nn::Tensor* feature_maps) const override;
+  /// Infer into feature_maps(), so CAM extraction works after it.
   nn::Tensor ForwardInference(const nn::Tensor& x) override;
   void CollectParameters(std::vector<nn::Parameter*>* out) override;
   void CollectBuffers(std::vector<nn::Tensor*>* out) override;
   void SetTraining(bool training) override;
 
-  const ResNetConfig& config() const { return config_; }
-
-  /// Feature maps (N, 2f, L) that fed the GAP in the last Forward call.
+  /// Feature maps (N, 2f, L) of the last Forward or ForwardInference.
   const nn::Tensor& feature_maps() const override { return feature_maps_; }
 
   /// Linear head weights (num_classes, 2f) — the w_kc of the CAM.

@@ -161,8 +161,12 @@ Tensor AvgPool1d::Backward(const Tensor& grad_output) {
 }
 
 Tensor GlobalAvgPool1d::Forward(const Tensor& x) {
-  CAMAL_CHECK_EQ(x.ndim(), 3);
   input_shape_ = x.shape();
+  return ForwardInference(x);
+}
+
+Tensor GlobalAvgPool1d::ForwardInference(const Tensor& x) {
+  CAMAL_CHECK_EQ(x.ndim(), 3);
   const int64_t n = x.dim(0), c = x.dim(1), l = x.dim(2);
   Tensor y({n, c});
   const float inv_l = 1.0f / static_cast<float>(l);

@@ -67,6 +67,9 @@ class GlobalAvgPool1d : public Module {
   Tensor Forward(const Tensor& x) override;
   Tensor Backward(const Tensor& grad_output) override;
 
+  /// Forward without caching the input shape for Backward.
+  Tensor ForwardInference(const Tensor& x) override;
+
  private:
   std::vector<int64_t> input_shape_;
 };

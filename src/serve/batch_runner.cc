@@ -23,7 +23,7 @@ void KeepLast(std::vector<T>* v, size_t keep) {
 
 }  // namespace
 
-BatchRunner::BatchRunner(core::CamalEnsemble* ensemble,
+BatchRunner::BatchRunner(const core::CamalEnsemble* ensemble,
                          BatchRunnerOptions options)
     : localizer_(ensemble, options.localizer), options_(options) {
   CAMAL_CHECK(ensemble != nullptr);

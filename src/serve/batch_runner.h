@@ -56,7 +56,7 @@ struct ScanResult {
 /// on. Owned by serve::Session (or any caller driving AppendScan
 /// directly); BatchRunner only reads and extends it, so state created by
 /// one runner can be appended to by another — the per-window forward
-/// results it caches votes from are replica- and batch-composition-
+/// results it caches votes from are runner- and batch-composition-
 /// invariant. A one-shot Scan runs the same pass over a fresh state whose
 /// `series` stays empty, because the caller's view is borrowed instead.
 ///
@@ -114,8 +114,8 @@ struct SessionScanState {
 /// results to a lone Scan of it.
 class BatchRunner {
  public:
-  /// \p ensemble is borrowed and must outlive the runner.
-  BatchRunner(core::CamalEnsemble* ensemble, BatchRunnerOptions options);
+  /// \p ensemble is borrowed read-only and must outlive the runner.
+  BatchRunner(const core::CamalEnsemble* ensemble, BatchRunnerOptions options);
 
   /// Scans \p aggregate_watts (unscaled Watts; NaN = missing reading).
   /// The view is borrowed for the duration of the call only — it can sit

@@ -64,13 +64,14 @@ struct ScanRequest {
   /// priority FIFO behaviour exactly. Does not affect results — only the
   /// order (and, with a deadline, whether) the request is served.
   RequestPriority priority = RequestPriority::kNormal;
-  /// Optional deadline, in seconds from submission; <= 0 means none.
-  /// A request still queued when its deadline passes is shed by the next
-  /// worker that dequeues it — its future resolves with kDeadlineExceeded
-  /// and no scan runs (the point: under overload, capacity goes to
-  /// requests whose answers someone still wants). A request whose scan
-  /// already started always completes. Session appends never carry
-  /// deadlines: a shed append would silently hole the session's series.
+  /// Optional deadline, in seconds from submission; 0 or +inf means none,
+  /// and Submit rejects a negative or NaN one. A request still queued
+  /// when its deadline passes is shed by the next worker that dequeues it
+  /// — its future resolves with kDeadlineExceeded and no scan runs (the
+  /// point: under overload, capacity goes to requests whose answers
+  /// someone still wants). A request whose scan already started always
+  /// completes. Session appends never carry deadlines: a shed append
+  /// would silently hole the session's series.
   double deadline_seconds = 0.0;
 };
 

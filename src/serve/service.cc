@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <exception>
 #include <filesystem>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -12,6 +13,21 @@
 #include "serve/checkpoint.h"
 
 namespace camal::serve {
+namespace {
+
+// \p seconds as a steady_clock duration, or nullopt ("never") past half the
+// clock's range (~146 years), +inf and NaN included: casting a double past
+// the range is undefined (x86 yields INT64_MIN, an instant long past), and
+// so is adding a step near the range's end to now().
+std::optional<std::chrono::steady_clock::duration> ClockStep(double seconds) {
+  using Step = std::chrono::steady_clock::duration;
+  const double never = std::chrono::duration<double>(Step::max()).count() / 2;
+  if (!(seconds < never)) return std::nullopt;
+  return std::chrono::duration_cast<Step>(
+      std::chrono::duration<double>(seconds));
+}
+
+}  // namespace
 
 Service::Service(ServiceOptions options)
     : options_(std::move(options)), queue_(options_.queue_capacity) {
@@ -21,7 +37,7 @@ Service::Service(ServiceOptions options)
 Service::~Service() { Shutdown(); }
 
 Status Service::RegisterAppliance(std::string name,
-                                  core::CamalEnsemble* ensemble,
+                                  const core::CamalEnsemble* ensemble,
                                   BatchRunnerOptions runner) {
   MutexLock lock(&lifecycle_mu_);
   if (state_.load() != State::kIdle) {
@@ -64,28 +80,15 @@ Status Service::Start() {
   // inside each worker's scans.
   inner_budget_ = std::max(1, NumThreads() / workers);
 
-  // Replicate on this thread, before any request runs: Clone reads state
-  // that forward passes mutate, so it must not race with scans. Worker 0
-  // borrows the originals; workers 1..W-1 each own a replica set.
+  // Every worker's runners read the one registered ensemble per appliance.
   workers_.reserve(static_cast<size_t>(workers));
   for (int w = 0; w < workers; ++w) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
-  for (auto& [name, appliance] : appliances_) {
-    std::vector<std::unique_ptr<core::CamalEnsemble>> replicas =
-        appliance.ensemble->CloneReplicas(workers - 1);
-    for (int w = 0; w < workers; ++w) {
-      core::CamalEnsemble* replica_ensemble = appliance.ensemble;
-      if (w > 0) {
-        workers_[static_cast<size_t>(w)]->replicas.push_back(
-            std::move(replicas[static_cast<size_t>(w - 1)]));
-        replica_ensemble =
-            workers_[static_cast<size_t>(w)]->replicas.back().get();
-      }
-      workers_[static_cast<size_t>(w)]->runners.emplace(
-          name,
-          std::make_unique<BatchRunner>(replica_ensemble, appliance.runner));
+    auto worker = std::make_unique<Worker>();
+    for (const auto& [name, appliance] : appliances_) {
+      worker->runners.emplace(name, std::make_unique<BatchRunner>(
+                                        appliance.ensemble, appliance.runner));
     }
+    workers_.push_back(std::move(worker));
   }
   // Arm the periodic checkpoint sweep from "now": the first checkpoint
   // lands one interval after Start, not immediately.
@@ -334,7 +337,7 @@ std::future<Result<ScanResult>> Service::Submit(ScanRequest request) {
     return Reject(Status::NotFound("appliance '" + request.appliance +
                                    "' is not registered"));
   }
-  if (request.deadline_seconds < 0.0) {
+  if (!(request.deadline_seconds >= 0.0)) {  // NaN fails this too
     return Reject(
         Status::InvalidArgument("request deadline_seconds must be >= 0"));
   }
@@ -345,10 +348,9 @@ std::future<Result<ScanResult>> Service::Submit(ScanRequest request) {
   if (task.request.deadline_seconds > 0.0) {
     // Stamp the absolute expiry once, here: workers compare against it
     // without re-deriving from the (relative) request field.
-    task.deadline =
-        task.admitted +
-        std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-            std::chrono::duration<double>(task.request.deadline_seconds));
+    if (const auto step = ClockStep(task.request.deadline_seconds)) {
+      task.deadline = task.admitted + *step;
+    }
   }
   std::future<Result<ScanResult>> future = task.promise.get_future();
   bool rejected_full = false;
@@ -663,19 +665,18 @@ Result<int64_t> Service::RestoreSessions(const std::string& dir) {
 }
 
 void Service::MaybeCheckpoint() {
+  // NaN disables the sweep like <= 0; an interval the clock cannot reach
+  // never elapses.
   if (options_.checkpoint_dir.empty() ||
-      options_.checkpoint_interval_seconds <= 0.0) {
+      !(options_.checkpoint_interval_seconds > 0.0)) {
     return;
   }
+  const auto interval = ClockStep(options_.checkpoint_interval_seconds);
+  if (!interval) return;
   const int64_t now =
       std::chrono::steady_clock::now().time_since_epoch().count();
-  const int64_t interval =
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(
-              options_.checkpoint_interval_seconds))
-          .count();
   int64_t last = last_checkpoint_ticks_.load(std::memory_order_relaxed);
-  if (now - last < interval) return;
+  if (now - last < interval->count()) return;
   // CAS claims the sweep: the losing workers see the fresh timestamp and
   // go back to serving.
   if (!last_checkpoint_ticks_.compare_exchange_strong(

@@ -42,9 +42,9 @@ struct RetryPolicy {
 /// Configuration of a serve::Service worker pool.
 struct ServiceOptions {
   /// Request worker threads; 0 means NumThreads(). Each worker owns one
-  /// BatchRunner per registered appliance over its own ensemble replica
-  /// (worker 0 borrows the originals), so memory scales with
-  /// workers x appliances.
+  /// BatchRunner per registered appliance, and all of them read that
+  /// appliance's one registered ensemble: only the runners' scan scratch
+  /// scales with workers x appliances, never the model weights.
   int workers = 0;
   /// Admission-queue bound: a Submit that finds this many requests already
   /// waiting is rejected with kFailedPrecondition (backpressure). <= 0
@@ -84,10 +84,11 @@ struct ServiceOptions {
   /// Crash safety: directory session checkpoints are written to (file
   /// Service::CheckpointFile(dir)). Empty disables checkpointing.
   /// With a directory set, Shutdown flushes a final checkpoint, and —
-  /// when checkpoint_interval_seconds > 0 — workers sweep one
-  /// opportunistically after serving, at most once per interval (no
-  /// background thread to configure or leak, like the idle-session
-  /// sweep). Restore is explicit: call RestoreSessions after Start.
+  /// when checkpoint_interval_seconds > 0 (NaN counts as 0; +inf never
+  /// elapses) — workers sweep one opportunistically after serving, at most
+  /// once per interval (no background thread to configure or leak, like
+  /// the idle-session sweep). Restore is explicit: call RestoreSessions
+  /// after Start.
   std::string checkpoint_dir;
   double checkpoint_interval_seconds = 0.0;
 };
@@ -159,8 +160,8 @@ struct ServiceStats {
 /// Start, then Submit ScanRequests from any number of threads; each
 /// returns a std::future<Result<ScanResult>>. Internally a bounded
 /// RequestQueue feeds `workers` threads, each owning a private BatchRunner
-/// per appliance over its own CamalEnsemble::Clone replica (members cache
-/// per-forward feature maps, so runners are never shared). When the queue
+/// per appliance (runners hold scan scratch, so they are never shared)
+/// over that appliance's one registered, read-only ensemble. When the queue
 /// runs deep, a worker coalesces same-appliance requests into one
 /// shared-GEMM scan (see ServiceOptions::coalesce_budget). Results are
 /// bitwise-identical to a sequential BatchRunner::Scan with the same
@@ -210,14 +211,16 @@ class Service {
   /// Registers \p ensemble (borrowed; must outlive the service) under
   /// \p name with per-request scan options. Only before Start:
   /// registration after Start returns kFailedPrecondition; an empty name,
-  /// duplicate name, or null ensemble returns kInvalidArgument. Worker 0
-  /// serves requests on \p ensemble itself (not a clone), so while any
-  /// request may be in flight the caller must not run forwards on it —
-  /// member forward passes cache per-call state.
-  Status RegisterAppliance(std::string name, core::CamalEnsemble* ensemble,
+  /// duplicate name, or null ensemble returns kInvalidArgument. Every
+  /// worker serves on \p ensemble itself through const calls only, so
+  /// while requests are in flight the caller may make const calls too
+  /// (DetectProbabilityBatched, a BatchRunner of its own) but no non-const
+  /// one until Shutdown.
+  Status RegisterAppliance(std::string name,
+                           const core::CamalEnsemble* ensemble,
                            BatchRunnerOptions runner);
 
-  /// Clones per-worker replicas and launches the worker pool. Returns
+  /// Builds each worker's runners and launches the worker pool. Returns
   /// kFailedPrecondition when no appliance is registered, or when the
   /// service already started (including after Shutdown — a Service is
   /// single-use).
@@ -334,14 +337,12 @@ class Service {
   enum class State { kIdle, kRunning, kStopped };
 
   struct Appliance {
-    core::CamalEnsemble* ensemble = nullptr;
+    const core::CamalEnsemble* ensemble = nullptr;
     BatchRunnerOptions runner;
   };
 
-  /// One request worker: a thread plus its private per-appliance runners
-  /// (and the replicas backing them, for workers >= 1).
+  /// One request worker: a thread plus its private per-appliance runners.
   struct Worker {
-    std::vector<std::unique_ptr<core::CamalEnsemble>> replicas;
     std::map<std::string, std::unique_ptr<BatchRunner>> runners;
     std::thread thread;
   };

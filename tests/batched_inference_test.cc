@@ -11,6 +11,7 @@
 
 #include "common/rng.h"
 #include "core/ensemble.h"
+#include "core/inception.h"
 #include "core/resnet.h"
 #include "nn/activations.h"
 #include "nn/batchnorm1d.h"
@@ -659,6 +660,64 @@ TEST(ResNetInferenceTest, LogitsAgreeWithTrainingForward) {
   EXPECT_LT(MaxAbsDiff(slow, fast), 1e-4);
   // CAM extraction depends on the cached feature maps matching too.
   EXPECT_LT(MaxAbsDiff(slow_features, model.feature_maps()), 1e-4);
+}
+
+// Moves every BatchNorm's running statistics off their (0, 1) start with
+// three training-mode forwards, so eval mode is more than an identity.
+void WarmBatchNorm(core::CamBackbone* model, int64_t length, Rng* rng) {
+  model->SetTraining(true);
+  for (int i = 0; i < 3; ++i) model->Forward(RandomTensor({4, 1, length}, rng));
+  model->SetTraining(false);
+}
+
+void ExpectSameBits(const nn::Tensor& got, const nn::Tensor& want) {
+  ASSERT_TRUE(got.SameShape(want))
+      << got.ShapeString() << " vs " << want.ShapeString();
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        sizeof(float) * static_cast<size_t>(got.numel())),
+            0);
+}
+
+TEST(ResNetInferenceTest, ConstInferEqualsForwardInferenceBitwise) {
+  // Serving runs the const Infer into caller-owned feature maps;
+  // ForwardInference is the same chain into feature_maps().
+  Rng rng(14);
+  core::ResNetConfig config;
+  config.base_filters = 8;
+  config.kernel_size = 9;
+  core::ResNetClassifier model(config, &rng);
+  WarmBatchNorm(&model, 40, &rng);
+  const nn::Tensor x = RandomTensor({5, 1, 40}, &rng);
+  nn::Tensor maps;
+  const core::CamBackbone& frozen = model;
+  const nn::Tensor logits = frozen.Infer(x, &maps);
+  ExpectSameBits(logits, model.ForwardInference(x));
+  ExpectSameBits(maps, model.feature_maps());
+}
+
+TEST(InceptionInferenceTest, ConstInferAgreesWithEvalForward) {
+  // Inception serves through its layers' inference kernels (fused
+  // conv+BN shortcut, BatchNorm as one affine), so it agrees with the
+  // caching eval-mode Forward to float rounding.
+  for (int64_t depth : {2, 3}) {
+    Rng rng(static_cast<uint64_t>(20 + depth));
+    core::InceptionConfig config;
+    config.kernel_size = 5;
+    config.base_filters = 4;
+    config.depth = depth;
+    core::InceptionClassifier model(config, &rng);
+    WarmBatchNorm(&model, 32, &rng);
+    const nn::Tensor x = RandomTensor({4, 1, 32}, &rng);
+    nn::Tensor maps;
+    const core::CamBackbone& frozen = model;
+    const nn::Tensor logits = frozen.Infer(x, &maps);
+    const nn::Tensor reference = model.Forward(x);
+    ASSERT_TRUE(logits.SameShape(reference)) << "depth " << depth;
+    EXPECT_LT(MaxAbsDiff(logits, reference), 1e-4) << "depth " << depth;
+    ASSERT_TRUE(maps.SameShape(model.feature_maps())) << "depth " << depth;
+    EXPECT_LT(MaxAbsDiff(maps, model.feature_maps()), 1e-4)
+        << "depth " << depth;
+  }
 }
 
 TEST(ResNetInferenceTest, BatchedMatchesSingleWindowLoop) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -827,10 +828,73 @@ TEST(ServiceCheckpointTest, PeriodicSweepWritesWithoutExplicitCalls) {
                     .ok());
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
+  // A worker sweeps after resolving its group's futures, so a claimed
+  // sweep can still be in its fsync here: wait for it, boundedly.
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (service.stats().checkpoints_written < 1 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   EXPECT_GE(service.stats().checkpoints_written, 1);
   EXPECT_TRUE(
       std::filesystem::exists(serve::Service::CheckpointFile(dir)));
   service.Shutdown();
+}
+
+// Checkpoints a one-worker service writes while one session takes ten
+// appends under a sweep interval of \p interval_seconds: {before Shutdown,
+// after its flush}.
+std::pair<int64_t, int64_t> SweepsThenFlush(const std::string& name,
+                                            double interval_seconds) {
+  const std::string dir = TestDir(name);
+  core::CamalEnsemble ensemble = RandomEnsemble(99);
+  serve::ServiceOptions opt;
+  opt.workers = 1;
+  opt.checkpoint_dir = dir;
+  opt.checkpoint_interval_seconds = interval_seconds;
+  serve::Service service(opt);
+  EXPECT_TRUE(service
+                  .RegisterAppliance("fridge", &ensemble,
+                                     SmallRunner(16, 8, 4, 500.0f))
+                  .ok());
+  EXPECT_TRUE(service.Start().ok());
+  serve::SessionOptions session_opt;
+  session_opt.household_id = "house-interval";
+  auto session = service.CreateSession("fridge", session_opt);
+  EXPECT_TRUE(session.ok());
+  if (!session.ok()) return {-1, -1};
+  for (int i = 0; i < 10; ++i) {
+    EXPECT_TRUE(session.value()
+                    ->AppendReadings(std::vector<float>(12, 650.0f))
+                    .get()
+                    .ok());
+  }
+  const int64_t swept = service.stats().checkpoints_written;
+  service.Shutdown();
+  return {swept, service.stats().checkpoints_written};
+}
+
+// Intervals past steady_clock's range used to convert to INT64_MIN ticks,
+// so a worker swept after nearly every group.
+TEST(ServiceCheckpointTest, InfiniteIntervalNeverSweepsButShutdownFlushes) {
+  const auto [swept, total] = SweepsThenFlush(
+      "interval_inf", std::numeric_limits<double>::infinity());
+  EXPECT_EQ(swept, 0);
+  EXPECT_EQ(total, 1);  // the Shutdown flush
+}
+
+TEST(ServiceCheckpointTest, IntervalPastClockRangeNeverSweeps) {
+  const auto [swept, total] = SweepsThenFlush("interval_1e10", 1e10);
+  EXPECT_EQ(swept, 0);
+  EXPECT_EQ(total, 1);
+}
+
+TEST(ServiceCheckpointTest, NanIntervalDisablesTheSweepLikeZero) {
+  const auto [swept, total] =
+      SweepsThenFlush("interval_nan", std::nan(""));
+  EXPECT_EQ(swept, 0);
+  EXPECT_EQ(total, 1);
 }
 
 TEST(ServiceCheckpointTest, CheckpointWriteFaultIsAStatusAndServiceServes) {

@@ -4,7 +4,9 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <future>
+#include <limits>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -1080,8 +1082,9 @@ TEST(ServiceTest, ShortSeriesLeftPadMatchesSequentialThroughAsyncPath) {
 
 TEST(ServiceTest, AsyncResultsMatchSequentialBitwiseAcrossAppliances) {
   // Two appliances with different scan options, interleaved submissions,
-  // several workers: whatever worker serves a request, its replica must
-  // produce bit-for-bit the result of a sequential BatchRunner::Scan.
+  // several workers: whatever worker serves a request, its runner over the
+  // shared ensemble must produce bit-for-bit the result of a sequential
+  // BatchRunner::Scan.
   core::CamalEnsemble dishwasher = RandomEnsemble(27);
   core::CamalEnsemble kettle = RandomEnsemble(28);
   const serve::BatchRunnerOptions dish_opt = SmallRunner(16, 8, 4, 600.0f);
@@ -1110,9 +1113,6 @@ TEST(ServiceTest, AsyncResultsMatchSequentialBitwiseAcrossAppliances) {
     kettle_futures.push_back(service.Submit(std::move(kettle_request)));
   }
 
-  // Harvest every future BEFORE scanning sequentially: worker 0 borrows
-  // the original ensembles, so a sequential scan that overlapped the
-  // in-flight requests would race on their per-forward caches.
   std::vector<serve::ScanResult> dish_async, kettle_async;
   for (size_t h = 0; h < cohort.size(); ++h) {
     Result<serve::ScanResult> dish_result = dish_futures[h].get();
@@ -1146,9 +1146,11 @@ TEST(ServiceTest, AsyncResultsMatchSequentialBitwiseAcrossAppliances) {
 }
 
 TEST(ServiceTest, ClonesNonDefaultBackboneConfigs) {
-  // Regression: worker replicas are rebuilt from the member's full config.
-  // An Inception member with non-default depth used to make Clone abort
-  // on a parameter-count mismatch when Start replicated it.
+  // Pins the Inception member every worker serves: a depth-2 member (the
+  // default is 3) runs its const inference forward on two workers at once
+  // and must match a lone runner bit for bit. (Start once deep-copied each
+  // member per worker, and this depth used to abort that copy on a
+  // parameter-count mismatch.)
   Rng rng(17);
   core::InceptionConfig config;
   config.kernel_size = 5;
@@ -1167,7 +1169,7 @@ TEST(ServiceTest, ClonesNonDefaultBackboneConfigs) {
   service_opt.workers = 2;
   serve::Service service(service_opt);
   ASSERT_TRUE(service.RegisterAppliance("oven", &ensemble, runner).ok());
-  ASSERT_TRUE(service.Start().ok());  // clones the depth-2 member
+  ASSERT_TRUE(service.Start().ok());
 
   const std::vector<std::vector<float>> cohort = SyntheticCohort(8, 23);
   std::vector<std::future<Result<serve::ScanResult>>> futures;
@@ -1180,8 +1182,6 @@ TEST(ServiceTest, ClonesNonDefaultBackboneConfigs) {
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     scans.push_back(std::move(result).value());
   }
-  // Worker 0 borrows the original ensemble: scan sequentially only once
-  // every request has resolved.
   service.Shutdown();
 
   serve::BatchRunner sequential(&ensemble, runner);
@@ -1540,6 +1540,47 @@ TEST(ServiceTest, NegativeDeadlineIsRejectedAsInvalid) {
   EXPECT_EQ(service.stats().rejected_invalid, 1);
 }
 
+// Outcome of one 32-reading scan with \p deadline_seconds on a one-worker
+// service.
+Result<serve::ScanResult> ScanWithDeadline(double deadline_seconds) {
+  core::CamalEnsemble ensemble = RandomEnsemble(66);
+  serve::ServiceOptions opt;
+  opt.workers = 1;
+  serve::Service service(opt);
+  EXPECT_TRUE(service
+                  .RegisterAppliance("fridge", &ensemble,
+                                     SmallRunner(16, 8, 4, 150.0f))
+                  .ok());
+  EXPECT_TRUE(service.Start().ok());
+  std::vector<float> series(32, 100.0f);
+  serve::ScanRequest request;
+  request.appliance = "fridge";
+  request.series = data::SeriesView(series);
+  request.deadline_seconds = deadline_seconds;
+  return service.Submit(std::move(request)).get();
+}
+
+// Deadlines past steady_clock's range used to convert to INT64_MIN ticks,
+// an instant long past, so the worker shed them at once.
+TEST(ServiceTest, DeadlinePastClockRangeIsServed) {
+  Result<serve::ScanResult> served = ScanWithDeadline(1e10);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(served.value().windows, 3);
+}
+
+TEST(ServiceTest, InfiniteDeadlineIsServed) {
+  Result<serve::ScanResult> served =
+      ScanWithDeadline(std::numeric_limits<double>::infinity());
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_EQ(served.value().windows, 3);
+}
+
+TEST(ServiceTest, NanDeadlineIsRejectedAsInvalid) {
+  Result<serve::ScanResult> rejected = ScanWithDeadline(std::nan(""));
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(ServiceTest, MixedPrioritiesWithSlackDeadlinesStayBitwiseIdentical) {
   // The QoS knobs reorder and (under load) shed, but for requests that DO
   // get served the results policy is untouched: a burst with mixed
@@ -1742,6 +1783,138 @@ void ExpectBitwiseEqual(const serve::ScanResult& got,
         << label << " status t=" << t;
     ASSERT_EQ(got.power.at(t), want.power.at(t))
         << label << " power t=" << t;
+  }
+}
+
+// Every parameter, gradient and buffer byte of \p ensemble's members, each
+// member's training() flag closing its run.
+std::string EnsembleBytes(core::CamalEnsemble* ensemble) {
+  std::string bytes;
+  const auto append = [&bytes](const nn::Tensor& t) {
+    if (t.numel() == 0) return;
+    bytes.append(reinterpret_cast<const char*>(t.data()),
+                 sizeof(float) * static_cast<size_t>(t.numel()));
+  };
+  for (core::EnsembleMember& member : ensemble->members()) {
+    for (nn::Parameter* p : member.model->Parameters()) {
+      append(p->value);
+      append(p->grad);
+    }
+    for (nn::Tensor* buffer : member.model->Buffers()) append(*buffer);
+    bytes.push_back(member.model->training() ? 't' : 'e');
+  }
+  return bytes;
+}
+
+bool SameBits(const nn::Tensor& a, const nn::Tensor& b) {
+  return a.SameShape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     sizeof(float) * static_cast<size_t>(a.numel())) == 0;
+}
+
+TEST(ServiceTest, SharedEnsemblesStayReadOnlyWhileServing) {
+  // Four workers serve coalesced one-shot scans and session appends on
+  // one ResNet and one depth-2 Inception ensemble while this thread runs
+  // DetectProbabilityBatched on the same two. Nothing may write a weight,
+  // a BatchNorm statistic or a training flag, and this thread's forwards
+  // must equal a lone call's bit for bit.
+  core::CamalEnsemble resnet = RandomEnsemble(71);
+  Rng rng(72);
+  core::InceptionConfig config;
+  config.kernel_size = 5;
+  config.base_filters = 4;
+  config.depth = 2;
+  std::vector<core::EnsembleMember> members;
+  for (int m = 0; m < 2; ++m) {
+    core::EnsembleMember member;
+    member.model = std::make_unique<core::InceptionClassifier>(config, &rng);
+    member.kernel_size = config.kernel_size;
+    members.push_back(std::move(member));
+  }
+  core::CamalEnsemble inception =
+      core::CamalEnsemble::FromMembers(std::move(members));
+  const std::vector<std::string> names = {"resnet", "inception"};
+  const std::vector<core::CamalEnsemble*> ensembles = {&resnet, &inception};
+  std::vector<std::string> before;
+  for (core::CamalEnsemble* ensemble : ensembles) {
+    before.push_back(EnsembleBytes(ensemble));
+  }
+
+  const serve::BatchRunnerOptions runner = SmallRunner(16, 8, 4, 500.0f);
+  serve::ServiceOptions opt;
+  opt.workers = 4;
+  serve::Service service(opt);
+  for (size_t a = 0; a < names.size(); ++a) {
+    ASSERT_TRUE(
+        service.RegisterAppliance(names[a], ensembles[a], runner).ok());
+  }
+  ASSERT_TRUE(service.Start().ok());
+
+  const std::vector<std::vector<float>> cohort = SyntheticCohort(8, 73);
+  std::vector<std::vector<std::future<Result<serve::ScanResult>>>> scans(
+      names.size());
+  std::vector<std::future<Result<serve::ScanResult>>> appends;
+  for (size_t a = 0; a < names.size(); ++a) {
+    for (const auto& series : cohort) {
+      scans[a].push_back(service.Submit(names[a], series));
+    }
+    for (int s = 0; s < 3; ++s) {
+      auto session = service.CreateSession(names[a]);
+      ASSERT_TRUE(session.ok()) << session.status().ToString();
+      for (int i = 0; i < 4; ++i) {
+        appends.push_back(service.AppendReadings(
+            session.value(), cohort[static_cast<size_t>(s + i)]));
+      }
+    }
+  }
+
+  // The same ensembles, from this thread, while the workers serve.
+  nn::Tensor x({6, 1, 16});
+  for (int64_t i = 0; i < x.numel(); ++i) {
+    x.at(i) = static_cast<float>(rng.Uniform(-1.0, 2.0));
+  }
+  std::vector<std::vector<nn::Tensor>> probs(names.size());
+  std::vector<std::vector<std::vector<nn::Tensor>>> maps(names.size());
+  for (int round = 0; round < 4; ++round) {
+    for (size_t a = 0; a < names.size(); ++a) {
+      maps[a].emplace_back();
+      probs[a].push_back(
+          ensembles[a]->DetectProbabilityBatched(x, &maps[a].back()));
+    }
+  }
+
+  std::vector<std::vector<serve::ScanResult>> served(names.size());
+  for (size_t a = 0; a < names.size(); ++a) {
+    for (auto& future : scans[a]) {
+      Result<serve::ScanResult> result = future.get();
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      served[a].push_back(std::move(result).value());
+    }
+  }
+  for (auto& future : appends) {
+    Result<serve::ScanResult> result = future.get();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+  }
+  service.Shutdown();
+
+  for (size_t a = 0; a < names.size(); ++a) {
+    EXPECT_EQ(EnsembleBytes(ensembles[a]), before[a]) << names[a];
+    std::vector<nn::Tensor> lone_maps;
+    const nn::Tensor lone =
+        ensembles[a]->DetectProbabilityBatched(x, &lone_maps);
+    for (size_t r = 0; r < probs[a].size(); ++r) {
+      EXPECT_TRUE(SameBits(probs[a][r], lone)) << names[a] << " round " << r;
+      ASSERT_EQ(maps[a][r].size(), lone_maps.size());
+      for (size_t m = 0; m < lone_maps.size(); ++m) {
+        EXPECT_TRUE(SameBits(maps[a][r][m], lone_maps[m]))
+            << names[a] << " round " << r << " member " << m;
+      }
+    }
+    serve::BatchRunner sequential(ensembles[a], runner);
+    for (size_t h = 0; h < cohort.size(); ++h) {
+      ExpectBitwiseEqual(served[a][h], sequential.Scan(cohort[h]),
+                         names[a] + " household " + std::to_string(h));
+    }
   }
 }
 
