@@ -53,7 +53,9 @@ void Run() {
     for (auto it = sizes.rbegin(); it != sizes.rend(); ++it) {
       const int n = *it;
       if (static_cast<size_t>(n) > ensemble.members().size()) continue;
-      ensemble.members().resize(static_cast<size_t>(n));
+      std::vector<core::EnsembleMember> kept = std::move(ensemble.members());
+      kept.resize(static_cast<size_t>(n));
+      ensemble = core::CamalEnsemble::FromMembers(std::move(kept));
       core::CamalLocalizer localizer(&ensemble);
       core::LocalizationResult res = localizer.Localize(data.test.inputs);
       const eval::LocalizationScores scores =

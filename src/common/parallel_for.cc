@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <deque>
+#include <exception>
 #include <thread>
 #include <vector>
 
@@ -18,6 +19,8 @@ namespace {
 // available); 1 while a pool chunk runs (nested loops run inline); the
 // pinned budget inside a ParallelBudgetScope.
 thread_local int tls_budget = 0;
+// True while this thread runs a pool chunk, whoever claimed it.
+thread_local bool tls_in_chunk = false;
 
 int ReadThreadsEnv() {
   const char* env = std::getenv("CAMAL_THREADS");
@@ -54,8 +57,8 @@ class Pool {
  public:
   explicit Pool(int workers) : workers_(workers) {
     // A pool with no workers would make Run()'s hand-off pointless.
-    // ParallelForChunked only dispatches with a budget >= 2, and budgets
-    // never exceed NumThreads(), so NumThreads() == 1 processes never
+    // ParallelForChunked and ParallelLanes only dispatch 2+ chunks, never
+    // more than NumThreads(), so NumThreads() == 1 processes never
     // construct one.
     CAMAL_CHECK_GE(workers_, 1);
     threads_.reserve(static_cast<size_t>(workers_));
@@ -72,7 +75,12 @@ class Pool {
       MutexLock lock(&mu_);
       jobs_.push_back(job);
     }
-    cv_.NotifyAll();
+    // Wake one helper per chunk beyond the caller's own: a small job
+    // (two or three member lanes) should not rouse the whole pool.
+    // Helpers busy elsewhere miss nothing — they re-check the queue
+    // before they wait.
+    const int64_t helpers = std::min<int64_t>(job->n_chunks - 1, workers_);
+    for (int64_t h = 0; h < helpers; ++h) cv_.NotifyOne();
     // Claim chunks of our own job until none remain.
     for (;;) {
       const int64_t c = job->next.fetch_add(1, std::memory_order_relaxed);
@@ -106,9 +114,12 @@ class Pool {
     const int64_t e = std::min<int64_t>(b + job->chunk, job->end);
     // Chunks never fan out further: a nested loop runs inline.
     const int saved_budget = tls_budget;
+    const bool saved_in_chunk = tls_in_chunk;
     tls_budget = 1;
+    tls_in_chunk = true;
     (*job->body)(b, e);
     tls_budget = saved_budget;
+    tls_in_chunk = saved_in_chunk;
     // Read n_chunks before the final fetch_add: once `done` reaches the
     // total, the caller may return and destroy the job.
     const int64_t total = job->n_chunks;
@@ -195,6 +206,31 @@ void ParallelForChunked(int64_t begin, int64_t end,
   job.n_chunks = (n + job.chunk - 1) / job.chunk;
   job.body = &body;
   GetPool()->Run(&job);
+}
+
+void ParallelLanes(int lanes, const std::function<void(int)>& body) {
+  const int n = std::min(lanes, NumThreads());
+  if (n <= 1 || tls_in_chunk) {
+    for (int lane = 0; lane < n; ++lane) body(lane);
+    return;
+  }
+  // A throw must neither kill a pool thread nor unwind the caller while
+  // helpers still run its job: keep the first, rethrow it after Run.
+  std::atomic<bool> failed{false};
+  std::exception_ptr error;
+  const std::function<void(int64_t, int64_t)> chunk = [&](int64_t b, int64_t) {
+    try {
+      body(static_cast<int>(b));
+    } catch (...) {
+      if (!failed.exchange(true)) error = std::current_exception();
+    }
+  };
+  Job job;
+  job.end = n;
+  job.n_chunks = n;
+  job.body = &chunk;
+  GetPool()->Run(&job);
+  if (error) std::rethrow_exception(error);
 }
 
 void ParallelFor(int64_t begin, int64_t end,

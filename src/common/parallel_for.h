@@ -34,6 +34,20 @@ void ParallelForChunked(
     int64_t begin, int64_t end,
     const std::function<void(int64_t, int64_t)>& body);
 
+/// Capped fan-out of independent work: runs body(lane) once for each lane
+/// in [0, min(\p lanes, NumThreads())), never more than that many at
+/// once, the calling thread taking lanes itself alongside whichever pool
+/// workers are free. Lanes usually share a work cursor, so a lane no
+/// helper reaches in time costs nothing. Unlike ParallelFor it ignores
+/// the caller's ParallelBudgetScope: a thread pinned to budget 1 (a
+/// serve::Service worker) can still hand work to cores it knows are idle.
+/// Each body runs as a pool chunk (budget 1, so nested loops run inline).
+/// When that leaves one lane (one asked for, or CAMAL_THREADS=1), or the
+/// caller is itself a pool chunk, the lanes run in turn on the calling
+/// thread with its budget untouched. Blocks until every lane returns; the
+/// first exception a lane throws is rethrown then, on the calling thread.
+void ParallelLanes(int lanes, const std::function<void(int)>& body);
+
 /// Pins the calling thread's parallelism budget for the lifetime of the
 /// scope: ParallelFor/ParallelForChunked calls made from this thread fan
 /// out to at most min(\p budget, NumThreads()) chunks (1 = run inline).

@@ -1,7 +1,9 @@
 #include "core/ensemble.h"
 
 #include <algorithm>
+#include <atomic>
 
+#include "common/parallel_for.h"
 #include "nn/loss.h"
 #include "nn/optimizer.h"
 #include "nn/serialize.h"
@@ -198,15 +200,41 @@ nn::Tensor CamalEnsemble::DetectProbability(const nn::Tensor& inputs) {
   return MeanClassOneProbability(logits);
 }
 
-nn::Tensor CamalEnsemble::DetectProbabilityBatched(
-    const nn::Tensor& inputs, std::vector<nn::Tensor>* feature_maps) const {
-  if (feature_maps != nullptr) feature_maps->resize(members_.size());
-  std::vector<nn::Tensor> logits;
-  nn::Tensor discarded;
-  for (size_t m = 0; m < members_.size(); ++m) {
-    logits.push_back(members_[m].model->Infer(
-        inputs, feature_maps != nullptr ? &(*feature_maps)[m] : &discarded));
+CamalEnsemble::CamalEnsemble(std::vector<EnsembleMember> members)
+    : members_(std::move(members)), cost_order_(members_.size()) {
+  std::vector<int64_t> cost;
+  for (auto& member : members_) {
+    member.model->SetTraining(false);
+    cost.push_back(member.model->NumParameters());
   }
+  for (size_t m = 0; m < cost_order_.size(); ++m) cost_order_[m] = m;
+  std::stable_sort(cost_order_.begin(), cost_order_.end(),
+                   [&cost](size_t a, size_t b) { return cost[a] > cost[b]; });
+}
+
+nn::Tensor CamalEnsemble::DetectProbabilityBatched(
+    const nn::Tensor& inputs, std::vector<nn::Tensor>* feature_maps,
+    int spare) const {
+  // Resizing members() after construction would leave cost_order_ stale.
+  CAMAL_CHECK_EQ(cost_order_.size(), members_.size());
+  const size_t n = members_.size();
+  if (feature_maps != nullptr) feature_maps->resize(n);
+  const int lanes =
+      static_cast<int>(std::min<size_t>(n, 1 + std::max(0, spare)));
+  std::vector<nn::Tensor> logits(n);
+  // Without a maps out, each lane overwrites its own discard slot.
+  std::vector<nn::Tensor> discarded(
+      feature_maps != nullptr ? 0 : static_cast<size_t>(lanes));
+  std::atomic<size_t> next{0};
+  ParallelLanes(lanes, [&](int lane) {
+    for (size_t k; (k = next.fetch_add(1, std::memory_order_relaxed)) < n;) {
+      const size_t m = cost_order_[k];
+      nn::Tensor* maps = feature_maps != nullptr
+                             ? &(*feature_maps)[m]
+                             : &discarded[static_cast<size_t>(lane)];
+      logits[m] = members_[m].model->Infer(inputs, maps);
+    }
+  });
   return MeanClassOneProbability(logits);
 }
 

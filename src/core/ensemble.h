@@ -88,10 +88,22 @@ class CamalEnsemble {
   /// over the whole batch in one pass; \p feature_maps, when set, gets the
   /// members' pre-GAP maps in member order. Reads the ensemble only, so
   /// threads may share it. Agrees with DetectProbability to float rounding.
+  ///
+  /// The members are independent until their probabilities are averaged,
+  /// so \p spare > 0 runs them as min(members, 1 + spare) ParallelLanes:
+  /// each lane claims the costliest member not yet started, and its
+  /// forward runs with budget 1. Pass the number of cores known to be
+  /// idle (serve::Service passes its spare workers); the default 0 runs
+  /// the members one after another on the caller's budget. Each member
+  /// writes only its own logits and maps, and the probabilities are still
+  /// summed in member order, so the result is bitwise the same for every
+  /// \p spare.
   nn::Tensor DetectProbabilityBatched(
-      const nn::Tensor& inputs,
-      std::vector<nn::Tensor>* feature_maps = nullptr) const;
+      const nn::Tensor& inputs, std::vector<nn::Tensor>* feature_maps = nullptr,
+      int spare = 0) const;
 
+  /// Mutable for reading weights; keep the member count: the cost order
+  /// is fixed at construction (rebuild through FromMembers to subset).
   std::vector<EnsembleMember>& members() { return members_; }
   const std::vector<EnsembleMember>& members() const { return members_; }
 
@@ -99,13 +111,15 @@ class CamalEnsemble {
   int64_t NumParameters() const;
 
  private:
-  /// Every way to build an ensemble ends here: eval mode, set once.
-  explicit CamalEnsemble(std::vector<EnsembleMember> members)
-      : members_(std::move(members)) {
-    for (auto& member : members_) member.model->SetTraining(false);
-  }
+  /// Every way to build an ensemble ends here: eval mode and the members'
+  /// cost order, set once.
+  explicit CamalEnsemble(std::vector<EnsembleMember> members);
 
   std::vector<EnsembleMember> members_;
+  /// Member indices by descending parameter count (member order among
+  /// equals): a forward's conv FLOPs per position scale with it, so lanes
+  /// that start members in this order start the widest one first.
+  std::vector<size_t> cost_order_;
 };
 
 }  // namespace camal::core

@@ -14,7 +14,8 @@ CamalLocalizer::CamalLocalizer(const CamalEnsemble* ensemble,
   CAMAL_CHECK(ensemble != nullptr);
 }
 
-LocalizationResult CamalLocalizer::Localize(const nn::Tensor& inputs) {
+LocalizationResult CamalLocalizer::Localize(const nn::Tensor& inputs,
+                                            int spare) {
   CAMAL_CHECK_EQ(inputs.ndim(), 3);
   const int64_t n = inputs.dim(0), l = inputs.dim(2);
 
@@ -22,7 +23,7 @@ LocalizationResult CamalLocalizer::Localize(const nn::Tensor& inputs) {
   // Step 1-2: ensemble probability through the batched inference runtime,
   // which writes each member's feature maps to this localizer's scratch.
   result.probabilities =
-      ensemble_->DetectProbabilityBatched(inputs, &feature_maps_);
+      ensemble_->DetectProbabilityBatched(inputs, &feature_maps_, spare);
 
   // Step 3-4: per-member class-1 CAMs, max-normalized, averaged. The CAM
   // tensors are member scratch reused across calls: batches of one scan

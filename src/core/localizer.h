@@ -52,8 +52,11 @@ class CamalLocalizer {
   explicit CamalLocalizer(const CamalEnsemble* ensemble,
                           LocalizerOptions options = {});
 
-  /// Runs the full pipeline on (N, 1, L) scaled inputs.
-  LocalizationResult Localize(const nn::Tensor& inputs);
+  /// Runs the full pipeline on (N, 1, L) scaled inputs. \p spare idle
+  /// cores let the ensemble's members run as parallel lanes (see
+  /// CamalEnsemble::DetectProbabilityBatched); the result is bitwise the
+  /// same for every value, and the default 0 runs them in turn.
+  LocalizationResult Localize(const nn::Tensor& inputs, int spare = 0);
 
  private:
   const CamalEnsemble* ensemble_;

@@ -75,7 +75,7 @@ void BatchRunner::FinalizePower(data::SeriesView aggregate_watts,
 }
 
 std::vector<ScanResult> BatchRunner::ScanMany(
-    const std::vector<data::SeriesView>& series) {
+    const std::vector<data::SeriesView>& series, int spare) {
   // A one-shot scan is the stitch pass over fresh scratch accumulators,
   // voting on the caller's borrowed views. resize keeps existing
   // elements, so their buffers' capacity is reused across scans.
@@ -92,12 +92,12 @@ std::vector<ScanResult> BatchRunner::ScanMany(
     acc.on_votes.assign(len, 0);
     votes.push_back(&acc);
   }
-  return StitchPass(series, votes);
+  return StitchPass(series, votes, spare);
 }
 
 std::vector<ScanResult> BatchRunner::AppendScanMany(
     const std::vector<SessionScanState*>& states,
-    const std::vector<data::SeriesView>& deltas) {
+    const std::vector<data::SeriesView>& deltas, int spare) {
   CAMAL_CHECK_EQ(states.size(), deltas.size());
   // Commit each delta and zero-extend the accumulators, which keeps the
   // committed grid votes; the pass then votes only on the new windows
@@ -115,7 +115,7 @@ std::vector<ScanResult> BatchRunner::AppendScanMany(
     state->on_votes.resize(len, 0);
     views.push_back(data::SeriesView(state->series));
   }
-  std::vector<ScanResult> results = StitchPass(views, states);
+  std::vector<ScanResult> results = StitchPass(views, states, spare);
   // Finalize once: no later window votes before len - l (see
   // SessionScanState), so only the last l readings and slots stay live.
   const auto keep = static_cast<size_t>(options_.stream.window_length);
@@ -132,7 +132,7 @@ std::vector<ScanResult> BatchRunner::AppendScanMany(
 
 std::vector<ScanResult> BatchRunner::StitchPass(
     const std::vector<data::SeriesView>& views,
-    const std::vector<SessionScanState*>& votes) {
+    const std::vector<SessionScanState*>& votes, int spare) {
   const size_t n = views.size();
   const int64_t l = options_.stream.window_length;
   const int64_t stride = options_.stream.stride;
@@ -207,12 +207,16 @@ std::vector<ScanResult> BatchRunner::StitchPass(
   // tail-sized appends do not mean nearly empty batches.
   double seconds = 0.0;
   if (!refs.empty()) {
+    // Only a one-batch pass lends its members to spare cores (ScanMany).
+    if (static_cast<int64_t>(refs.size()) > options_.stream.batch_size) {
+      spare = 0;
+    }
     MultiWindowStream stream(std::move(feed), options_.stream,
                              std::move(refs));
     Stopwatch watch;
     int64_t b = 0;
     while ((b = stream.NextBatch(&batch_, &batch_refs_)) > 0) {
-      core::LocalizationResult loc = localizer_.Localize(batch_);
+      core::LocalizationResult loc = localizer_.Localize(batch_, spare);
       for (int64_t w = 0; w < b; ++w) {
         const WindowRef ref = batch_refs_[static_cast<size_t>(w)];
         const FeedTarget target = targets[static_cast<size_t>(ref.series)];

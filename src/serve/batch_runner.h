@@ -134,7 +134,16 @@ class BatchRunner {
   /// then each series stitches and finalizes on its own. results[i] is
   /// bitwise-identical to Scan(series[i]); entries may repeat or be
   /// empty. Not thread-safe, like Scan.
-  std::vector<ScanResult> ScanMany(const std::vector<data::SeriesView>& series);
+  ///
+  /// \p spare is how many cores the caller knows to be idle
+  /// (serve::Service passes its spare workers). When every window fits
+  /// one batch, that batch's ensemble members run as parallel lanes on
+  /// up to that many of them (CamalEnsemble::DetectProbabilityBatched);
+  /// a pass of several batches keeps its caller busy anyway, and fanning
+  /// it out would multiply its live activations, so it stays on the
+  /// caller. Results are bitwise the same for every value.
+  std::vector<ScanResult> ScanMany(const std::vector<data::SeriesView>& series,
+                                   int spare = 0);
 
   /// Incremental rescan: appends \p delta to \p state's committed series
   /// and feeds ONLY the windows the new tail touches — grid windows not
@@ -159,10 +168,12 @@ class BatchRunner {
   /// states[i] / deltas[i] pair up; states must not be null and must be
   /// distinct, and no delta may view its own state's committed series.
   /// results[i] is the changed suffix AppendScan(states[i], deltas[i])
-  /// would return, bit for bit. Not thread-safe.
+  /// would return, bit for bit. Not thread-safe. \p spare as in ScanMany:
+  /// a session's steady appends (one window each) fit one batch and may
+  /// fan out; its multi-batch prefill stays on the caller.
   std::vector<ScanResult> AppendScanMany(
       const std::vector<SessionScanState*>& states,
-      const std::vector<data::SeriesView>& deltas);
+      const std::vector<data::SeriesView>& deltas, int spare = 0);
 
   /// Validates scan options without constructing a runner — the Status
   /// mirror of the constructor's programmer-error CHECKs, for callers
@@ -176,9 +187,10 @@ class BatchRunner {
   /// votes[i]->base on, against votes[i], whose accumulators are sized to
   /// views[i] and already hold grid windows [0, votes[i]->grid_windows).
   /// Result i covers exactly views[i], with from = votes[i]->base.
+  /// \p spare as in ScanMany.
   std::vector<ScanResult> StitchPass(
       const std::vector<data::SeriesView>& views,
-      const std::vector<SessionScanState*>& votes);
+      const std::vector<SessionScanState*>& votes, int spare);
 
   /// §IV-C power estimation over \p result's stitched status, forcing
   /// power to 0 at missing readings.

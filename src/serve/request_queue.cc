@@ -47,6 +47,10 @@ int64_t RequestQueue::AdaptiveDrainBudget(int64_t extra_budget,
                                                             idle_consumers)));
 }
 
+int64_t RequestQueue::SpareConsumers(int64_t waiting, int64_t backlog) {
+  return std::max<int64_t>(0, waiting - backlog);
+}
+
 Status RequestQueue::Push(QueuedScan* task, bool* rejected_full,
                           bool force) {
   CAMAL_CHECK(task != nullptr);
@@ -70,10 +74,11 @@ Status RequestQueue::Push(QueuedScan* task, bool* rejected_full,
 }
 
 bool RequestQueue::PopGroup(QueuedScan* first, std::vector<QueuedScan>* extras,
-                            int64_t extra_budget) {
+                            int64_t extra_budget, int* spare) {
   CAMAL_CHECK(first != nullptr);
   CAMAL_CHECK(extras != nullptr);
   extras->clear();
+  if (spare != nullptr) *spare = 0;
   MutexLock lock(&mu_);
   ++waiting_;
   while (!closed_ && tasks_.empty()) cv_.Wait(&mu_);
@@ -88,37 +93,43 @@ bool RequestQueue::PopGroup(QueuedScan* first, std::vector<QueuedScan>* extras,
   // them work beats batching it — an idle worker is idle parallelism.
   const int64_t budget = AdaptiveDrainBudget(
       extra_budget, static_cast<int64_t>(tasks_.size()), waiting_);
-  if (budget <= 0 || tasks_.empty()) return true;
-
-  // Peel off up to `budget` tasks matching the head's appliance AND
-  // priority, compacting the rest in place so everything else keeps its
-  // admission order. FIFO within a class means no match can precede the
-  // head's old position, but the head may have been taken from the
-  // middle (priority overtaking), so the scan starts at index 0 — tasks
-  // before the first match never move; a backlog holding nothing to
-  // coalesce costs only the comparisons.
-  const std::string& appliance = first->request.appliance;
-  const RequestPriority priority = first->request.priority;
-  const auto matches = [&](const QueuedScan& task) {
-    return task.request.priority == priority &&
-           task.request.appliance == appliance;
-  };
-  const size_t n = tasks_.size();
-  size_t read = 0;
-  while (read < n && !matches(tasks_[read])) ++read;
-  if (read == n) return true;  // nothing to coalesce with
-  int64_t remaining = budget;
-  size_t write = read;
-  for (; read < n; ++read) {
-    QueuedScan& task = tasks_[read];
-    if (remaining > 0 && matches(task)) {
-      extras->push_back(std::move(task));
-      --remaining;
-    } else {
-      tasks_[write++] = std::move(task);
+  if (budget > 0) {
+    // Peel off up to `budget` tasks matching the head's appliance AND
+    // priority, compacting the rest in place so everything else keeps its
+    // admission order. FIFO within a class means no match can precede the
+    // head's old position, but the head may have been taken from the
+    // middle (priority overtaking), so the scan starts at index 0 — tasks
+    // before the first match never move; a backlog holding nothing to
+    // coalesce costs only the comparisons.
+    const std::string& appliance = first->request.appliance;
+    const RequestPriority priority = first->request.priority;
+    const auto matches = [&](const QueuedScan& task) {
+      return task.request.priority == priority &&
+             task.request.appliance == appliance;
+    };
+    const size_t n = tasks_.size();
+    size_t read = 0;
+    while (read < n && !matches(tasks_[read])) ++read;
+    int64_t remaining = budget;
+    size_t write = read;
+    for (; read < n; ++read) {
+      QueuedScan& task = tasks_[read];
+      if (remaining > 0 && matches(task)) {
+        extras->push_back(std::move(task));
+        --remaining;
+      } else {
+        tasks_[write++] = std::move(task);
+      }
     }
+    tasks_.resize(write);
   }
-  tasks_.resize(write);
+  // Spare consumers, after the drain: the siblings blocked in cv_.wait
+  // that the backlog left behind will not wake. The group's forward may
+  // borrow their cores.
+  if (spare != nullptr) {
+    *spare = static_cast<int>(
+        SpareConsumers(waiting_, static_cast<int64_t>(tasks_.size())));
+  }
   return true;
 }
 

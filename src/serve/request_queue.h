@@ -154,9 +154,15 @@ class RequestQueue {
   /// behind per waiting consumer — see AdaptiveDrainBudget. Purely a
   /// batching policy: results are bitwise-identical whichever worker or
   /// group serves a request. extra_budget <= 0 pops the head task alone.
-  /// Returns false only when closed and fully drained.
+  ///
+  /// When \p spare is set it receives, decided under the same lock, how
+  /// many of the consumers still blocked here have no task left for them
+  /// after this pop (SpareConsumers): cores the group may borrow for its
+  /// forward (see BatchRunner::ScanMany). A backlog yields 0, so a burst
+  /// keeps every forward on its own consumer. Returns false only when
+  /// closed and fully drained.
   bool PopGroup(QueuedScan* first, std::vector<QueuedScan>* extras,
-                int64_t extra_budget);
+                int64_t extra_budget, int* spare = nullptr);
 
   /// The effective extras budget a PopGroup may drain: the configured
   /// \p extra_budget, capped so that \p idle_consumers tasks of the
@@ -165,6 +171,11 @@ class RequestQueue {
   /// pure.
   static int64_t AdaptiveDrainBudget(int64_t extra_budget, int64_t backlog,
                                      int64_t idle_consumers);
+
+  /// Consumers blocked waiting that the \p backlog left after a pop's
+  /// drain will not keep busy: max(0, waiting - backlog). Exposed for
+  /// tests; pure.
+  static int64_t SpareConsumers(int64_t waiting, int64_t backlog);
 
   /// Stops admission; queued tasks remain poppable. Idempotent.
   void Close();

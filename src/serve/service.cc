@@ -110,11 +110,12 @@ void Service::WorkerLoop(Worker* worker) {
   ParallelBudgetScope budget(inner_budget_);
   QueuedScan first;
   std::vector<QueuedScan> extras;
+  int spare = 0;
   const int64_t extra_budget =
       static_cast<int64_t>(options_.coalesce_budget) - 1;
-  while (queue_.PopGroup(&first, &extras, extra_budget)) {
+  while (queue_.PopGroup(&first, &extras, extra_budget, &spare)) {
     BatchRunner* runner = worker->runners.at(first.request.appliance).get();
-    ServeGroup(runner, &first, &extras);
+    ServeGroup(runner, &first, &extras, spare);
     // Crash safety rides the worker loop like idle eviction rides
     // CreateSession: no background thread, just an opportunistic sweep
     // between groups, CAS-claimed so one worker writes per interval.
@@ -123,7 +124,7 @@ void Service::WorkerLoop(Worker* worker) {
 }
 
 void Service::ServeGroup(BatchRunner* runner, QueuedScan* first,
-                         std::vector<QueuedScan>* extras) {
+                         std::vector<QueuedScan>* extras, int spare) {
   // The group: head task plus the same-appliance extras PopGroup drained,
   // in admission order. Split it by kind — one-shot scans run one
   // coalesced ScanMany pass, session appends one coalesced AppendScanMany
@@ -186,7 +187,7 @@ void Service::ServeGroup(BatchRunner* runner, QueuedScan* first,
       }
       // One shared feed phase for the whole group; per-request stitches
       // stay independent, so results match per-request scans bitwise.
-      scan_results = runner->ScanMany(series);
+      scan_results = runner->ScanMany(series, spare);
     }
     if (!appends.empty()) {
       std::vector<SessionScanState*> states;
@@ -197,7 +198,7 @@ void Service::ServeGroup(BatchRunner* runner, QueuedScan* first,
         states.push_back(&task->session->scan_state_);
         deltas.push_back(RequestSeries(task->request));
       }
-      append_results = runner->AppendScanMany(states, deltas);
+      append_results = runner->AppendScanMany(states, deltas, spare);
     }
     if (tasks.size() > 1) {
       coalesced_groups_.fetch_add(1, std::memory_order_relaxed);

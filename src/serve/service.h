@@ -44,7 +44,12 @@ struct ServiceOptions {
   /// Request worker threads; 0 means NumThreads(). Each worker owns one
   /// BatchRunner per registered appliance, and all of them read that
   /// appliance's one registered ensemble: only the runners' scan scratch
-  /// scales with workers x appliances, never the model weights.
+  /// scales with workers x appliances, never the model weights. Workers
+  /// left idle with nothing queued for them are spare: a worker whose
+  /// pass fits one batch runs that batch's ensemble members as parallel
+  /// lanes on up to that many of the process pool's threads (see
+  /// RequestQueue::PopGroup), so one request can use the cores a light
+  /// load leaves idle. Results are bitwise the same either way.
   int workers = 0;
   /// Admission-queue bound: a Submit that finds this many requests already
   /// waiting is rejected with kFailedPrecondition (backpressure). <= 0
@@ -59,8 +64,12 @@ struct ServiceOptions {
   /// scans; what changes is batch occupancy — a deep queue of small
   /// households fills GEMM batches that per-request scans would run nearly
   /// empty (Fig. 7c: ~7x at batch 32). <= 1 disables. Trade-off: a
-  /// drained request rides its group instead of a possibly idle other
-  /// worker, so latency-critical shallow-queue deployments may prefer 1.
+  /// drained request waits for its whole group's pass instead of a pass
+  /// of its own. The drain never takes a request an idle worker could
+  /// start (RequestQueue::AdaptiveDrainBudget), and workers still idle
+  /// lend their cores to a one-batch group's forward (see `workers`), so
+  /// a shallow queue loses little; a latency-critical deployment may
+  /// still prefer 1.
   int coalesce_budget = 8;
   /// Streaming sessions idle at least this long — no append queued,
   /// parked, or running since — become eligible for eviction, swept
@@ -360,9 +369,11 @@ class Service {
   /// with kInternal if the scan threw and retries are exhausted. A
   /// throwing scan closes the affected sessions (their stitch state is
   /// suspect; appends never retry) and re-enqueues one-shot tasks still
-  /// inside RetryPolicy::max_attempts after a bounded backoff.
+  /// inside RetryPolicy::max_attempts after a bounded backoff. \p spare
+  /// is PopGroup's count of idle sibling workers, lent to the group's
+  /// single-batch forwards (BatchRunner::ScanMany).
   void ServeGroup(BatchRunner* runner, QueuedScan* first,
-                  std::vector<QueuedScan>* extras);
+                  std::vector<QueuedScan>* extras, int spare);
 
   /// Opportunistic checkpoint sweep, run by workers between groups: at
   /// most one checkpoint per checkpoint_interval_seconds, claimed by

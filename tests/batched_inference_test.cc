@@ -17,6 +17,7 @@
 #include "nn/batchnorm1d.h"
 #include "nn/conv1d.h"
 #include "nn/linear.h"
+#include "nn/loss.h"
 #include "nn/pooling.h"
 #include "nn/sequential.h"
 #include "nn/tensor.h"
@@ -758,6 +759,68 @@ TEST(EnsembleInferenceTest, BatchedProbabilityMatchesTrainingPath) {
   nn::Tensor reference = ensemble.DetectProbability(x);
   nn::Tensor batched = ensemble.DetectProbabilityBatched(x);
   EXPECT_LT(MaxAbsDiff(reference, batched), 1e-4);
+}
+
+TEST(EnsembleInferenceTest, MemberLanesKeepTheBits) {
+  // With spare cores the members run as parallel lanes, costliest first.
+  // Each lane writes only its member's logits and maps, and the mean is
+  // still summed in member order, so every spare count (0 included) must
+  // reproduce the members' own forwards, averaged in member order, byte
+  // for byte, maps included. The costliest member (k = 15) is registered
+  // in the middle, so lanes start members out of member order.
+  constexpr int64_t kLength = 128;
+  for (const bool resnet : {true, false}) {
+    SCOPED_TRACE(resnet ? "resnet" : "inception");
+    Rng rng(resnet ? 30 : 31);
+    std::vector<core::EnsembleMember> members;
+    for (int64_t k : {5, 15, 9}) {
+      core::EnsembleMember member;
+      if (resnet) {
+        core::ResNetConfig config;
+        config.base_filters = 16;
+        config.kernel_size = k;
+        member.model = std::make_unique<core::ResNetClassifier>(config, &rng);
+      } else {
+        core::InceptionConfig config;
+        config.kernel_size = k;
+        config.base_filters = 4;
+        config.depth = 2;
+        member.model =
+            std::make_unique<core::InceptionClassifier>(config, &rng);
+      }
+      WarmBatchNorm(member.model.get(), kLength, &rng);
+      member.kernel_size = k;
+      members.push_back(std::move(member));
+    }
+    const core::CamalEnsemble ensemble =
+        core::CamalEnsemble::FromMembers(std::move(members));
+    for (int64_t batch : {1, 4, 32}) {
+      SCOPED_TRACE("batch " + std::to_string(batch));
+      const nn::Tensor x = RandomTensor({batch, 1, kLength}, &rng);
+      // The oracle: each member's forward in member order, then the mean
+      // class-1 probability summed in that order.
+      std::vector<nn::Tensor> want_maps(ensemble.members().size());
+      nn::Tensor want({batch});
+      for (size_t m = 0; m < want_maps.size(); ++m) {
+        const nn::Tensor p =
+            nn::Softmax(ensemble.members()[m].model->Infer(x, &want_maps[m]));
+        for (int64_t i = 0; i < batch; ++i) want.at(i) += p.at2(i, 1);
+      }
+      want.ScaleInPlace(1.0f / static_cast<float>(want_maps.size()));
+      for (int spare = 0; spare <= 3; ++spare) {
+        SCOPED_TRACE("spare " + std::to_string(spare));
+        std::vector<nn::Tensor> maps;
+        ExpectSameBits(ensemble.DetectProbabilityBatched(x, &maps, spare),
+                       want);
+        ASSERT_EQ(maps.size(), want_maps.size());
+        for (size_t m = 0; m < maps.size(); ++m) {
+          ExpectSameBits(maps[m], want_maps[m]);
+        }
+        ExpectSameBits(ensemble.DetectProbabilityBatched(x, nullptr, spare),
+                       want);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/csv.h"
 #include "common/parallel_for.h"
@@ -249,6 +252,131 @@ TEST(ParallelForTest, BudgetScopeWiderThanPoolStillCoversRanges) {
     EXPECT_EQ(total.load(), 1000);
   });
   scoped.join();
+}
+
+// Busy-waits for \p us microseconds, so lanes of one job overlap when
+// helpers are free.
+void Linger(int us) {
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::microseconds(us);
+  while (std::chrono::steady_clock::now() < until) std::this_thread::yield();
+}
+
+TEST(ParallelLanesTest, NeverRunsMoreBodiesThanLanes) {
+  // Many jobs from a budget-1 thread, a service worker's setting: each
+  // runs lanes [0, min(lanes, NumThreads())) once, and an atomic
+  // high-water mark never sees more bodies at once than that.
+  std::thread scoped([] {
+    ParallelBudgetScope budget(1);
+    for (int lanes = 1; lanes <= 5; ++lanes) {
+      const int width = std::min(lanes, NumThreads());
+      std::atomic<int> active{0};
+      std::atomic<int> peak{0};
+      for (int job = 0; job < 40; ++job) {
+        std::vector<std::atomic<int>> ran(static_cast<size_t>(lanes));
+        ParallelLanes(lanes, [&](int lane) {
+          const int now = active.fetch_add(1) + 1;
+          for (int seen = peak.load(); now > seen;) {
+            if (peak.compare_exchange_weak(seen, now)) break;
+          }
+          ran[static_cast<size_t>(lane)].fetch_add(1);
+          Linger(100);
+          active.fetch_sub(1);
+        });
+        for (int lane = 0; lane < lanes; ++lane) {
+          EXPECT_EQ(ran[static_cast<size_t>(lane)].load(), lane < width ? 1 : 0)
+              << "lanes " << lanes << " lane " << lane;
+        }
+      }
+      EXPECT_LE(peak.load(), width) << "lanes " << lanes;
+    }
+  });
+  scoped.join();
+}
+
+TEST(ParallelLanesTest, LanesRunAtTheSameTime) {
+  // The budget-1 thread's lanes must all be running at once: each waits
+  // at a barrier, with a timeout, until every lane has arrived. Lanes run
+  // one after another would each give up short of the full count.
+  const int lanes = NumThreads();
+  if (lanes < 2) GTEST_SKIP() << "CAMAL_THREADS=1: lanes run in turn";
+  std::thread scoped([lanes] {
+    ParallelBudgetScope budget(1);
+    std::atomic<int> arrived{0};
+    std::atomic<int> met{0};
+    ParallelLanes(lanes, [&](int) {
+      arrived.fetch_add(1);
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (arrived.load() < lanes &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
+      if (arrived.load() == lanes) met.fetch_add(1);
+    });
+    EXPECT_EQ(met.load(), lanes);
+  });
+  scoped.join();
+}
+
+TEST(ParallelLanesTest, RunsInlineInsideAPoolChunk) {
+  // Lanes started inside a parallel region run in turn on the chunk's own
+  // thread: no nested hand-off, so no deadlock and no oversubscription.
+  // Two outer chunks leave the rest of the pool idle and every lane
+  // lingers, so a nested hand-off would show up as a lane run elsewhere.
+  std::atomic<int> bodies{0};
+  std::atomic<int> off_thread{0};
+  ParallelFor(0, 2, [&](int64_t) {
+    const std::thread::id self = std::this_thread::get_id();
+    std::atomic<int> active{0};
+    ParallelLanes(3, [&](int) {
+      if (std::this_thread::get_id() != self) off_thread.fetch_add(1);
+      EXPECT_EQ(active.fetch_add(1), 0);
+      Linger(2000);
+      bodies.fetch_add(1);
+      active.fetch_sub(1);
+    });
+  });
+  EXPECT_EQ(off_thread.load(), 0);
+  EXPECT_EQ(bodies.load(), 2 * std::min(3, NumThreads()));
+}
+
+TEST(ParallelLanesTest, OneThreadRunsOneLaneOnTheCaller) {
+  // CAMAL_THREADS=1, as CI's serial step runs this suite, caps a fan-out
+  // at one lane on the calling thread; one lane asked for is inline
+  // whatever the pool.
+  const std::thread::id self = std::this_thread::get_id();
+  std::atomic<int> bodies{0};
+  std::atomic<int> off_thread{0};
+  const auto body = [&](int) {
+    if (std::this_thread::get_id() != self) off_thread.fetch_add(1);
+    bodies.fetch_add(1);
+  };
+  ParallelLanes(1, body);
+  EXPECT_EQ(bodies.load(), 1);
+  EXPECT_EQ(off_thread.load(), 0);
+  ParallelLanes(4, body);
+  EXPECT_EQ(bodies.load(), 1 + std::min(4, NumThreads()));
+  if (NumThreads() == 1) {
+    EXPECT_EQ(off_thread.load(), 0);
+  }
+}
+
+TEST(ParallelLanesTest, RethrowsALaneExceptionOnTheCaller) {
+  // A throw on a pool thread must reach the caller after every lane has
+  // returned, and leave the pool serving.
+  const int width = std::min(3, NumThreads());
+  std::atomic<int> bodies{0};
+  const auto body = [&](int lane) {
+    bodies.fetch_add(1);
+    Linger(100);
+    if (lane == width - 1) throw std::runtime_error("lane failed");
+  };
+  EXPECT_THROW(ParallelLanes(3, body), std::runtime_error);
+  EXPECT_EQ(bodies.load(), width);
+  std::atomic<int64_t> total{0};
+  ParallelFor(0, 1000, [&](int64_t) { total.fetch_add(1); });
+  EXPECT_EQ(total.load(), 1000);
 }
 
 TEST(StopwatchTest, MeasuresElapsedTime) {

@@ -895,6 +895,60 @@ TEST(RequestQueueTest, AdaptiveDrainBudgetPolicy) {
   EXPECT_EQ(RequestQueue::AdaptiveDrainBudget(8, 100, -3), 8);
 }
 
+TEST(RequestQueueTest, SpareConsumersPolicy) {
+  using serve::RequestQueue;
+  // A blocked consumer is spare when the backlog left after a pop holds
+  // no task for it: waiting - backlog, floored at 0. One row per waiting
+  // count 0-3, one digit per backlog 0-5.
+  const char* const want[] = {"000000", "100000", "210000", "321000"};
+  for (int64_t waiting = 0; waiting < 4; ++waiting) {
+    for (int64_t backlog = 0; backlog < 6; ++backlog) {
+      EXPECT_EQ(RequestQueue::SpareConsumers(waiting, backlog),
+                want[waiting][backlog] - '0')
+          << "waiting " << waiting << " backlog " << backlog;
+    }
+  }
+}
+
+TEST(RequestQueueTest, PopGroupReportsSpareConsumers) {
+  // Three consumers park on an empty queue; tasks then arrive one at a
+  // time, each popped before the next is pushed. Whoever pops a task
+  // sees the consumers still parked, with no backlog to wake them:
+  // 2, then 1, then 0 spare. A lone consumer over a backlog has none.
+  std::vector<float> series(4, 1.0f);
+  serve::RequestQueue queue(/*capacity=*/0);
+  std::vector<int> spare(3, -1);
+  std::vector<std::thread> consumers;
+  for (size_t c = 0; c < spare.size(); ++c) {
+    consumers.emplace_back([&queue, &spare, c] {
+      serve::QueuedScan task;
+      std::vector<serve::QueuedScan> extras;
+      EXPECT_TRUE(queue.PopGroup(&task, &extras, 8, &spare[c]));
+    });
+  }
+  for (int64_t parked = 3; parked > 0; --parked) {
+    while (queue.waiting_consumers() != parked) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    serve::QueuedScan task = MakeApplianceTask(&series, "a", "t");
+    ASSERT_TRUE(queue.Push(&task).ok());
+  }
+  for (std::thread& consumer : consumers) consumer.join();
+  std::sort(spare.begin(), spare.end());
+  EXPECT_EQ(spare, (std::vector<int>{0, 1, 2}));
+
+  for (int t = 0; t < 3; ++t) {
+    serve::QueuedScan task = MakeApplianceTask(&series, "b", "u");
+    ASSERT_TRUE(queue.Push(&task).ok());
+  }
+  serve::QueuedScan first;
+  std::vector<serve::QueuedScan> extras;
+  int lone = -1;
+  ASSERT_TRUE(queue.PopGroup(&first, &extras, 0, &lone));
+  EXPECT_EQ(lone, 0);
+  queue.Close();
+}
+
 TEST(RequestQueueTest, PopGroupLeavesWorkForIdleSiblings) {
   std::vector<float> series(4, 1.0f);
   serve::RequestQueue queue(/*capacity=*/0);
@@ -2082,6 +2136,88 @@ TEST(BatchRunnerTest, SessionKeepsOneWindowAndOverlaysToScanAtEveryStride) {
       ExpectTimelineBitwiseEqual(timeline, reference.Scan(concatenated), label);
     }
   }
+}
+
+// Three members whose costliest (k = 15) is registered in the middle, so
+// member lanes start them out of member order.
+core::CamalEnsemble ThreeMemberEnsemble(bool resnet, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<core::EnsembleMember> members;
+  for (int64_t k : {5, 15, 9}) {
+    core::EnsembleMember member;
+    if (resnet) {
+      core::ResNetConfig config;
+      config.base_filters = 4;
+      config.kernel_size = k;
+      member.model = std::make_unique<core::ResNetClassifier>(config, &rng);
+    } else {
+      core::InceptionConfig config;
+      config.kernel_size = k;
+      config.base_filters = 4;
+      config.depth = 2;
+      member.model = std::make_unique<core::InceptionClassifier>(config, &rng);
+    }
+    member.kernel_size = k;
+    members.push_back(std::move(member));
+  }
+  return core::CamalEnsemble::FromMembers(std::move(members));
+}
+
+TEST(ServiceTest, SpareWorkersRunMemberLanesBitwise) {
+  // Four workers fed one request at a time: the three idle siblings are
+  // spare, so every one-batch pass runs its members as lanes on the
+  // pool. One-shot scans of one to three batches and a session's appends
+  // (a multi-batch prefill, then one-window appends) must equal a lone
+  // BatchRunner, whose members run in turn, bit for bit.
+  const std::vector<std::string> names = {"resnet", "inception"};
+  std::vector<core::CamalEnsemble> ensembles;
+  ensembles.push_back(ThreeMemberEnsemble(/*resnet=*/true, 81));
+  ensembles.push_back(ThreeMemberEnsemble(/*resnet=*/false, 82));
+  const serve::BatchRunnerOptions runner = SmallRunner(16, 8, 4, 500.0f);
+  serve::ServiceOptions opt;
+  opt.workers = 4;
+  serve::Service service(opt);
+  for (size_t a = 0; a < names.size(); ++a) {
+    ASSERT_TRUE(
+        service.RegisterAppliance(names[a], &ensembles[a], runner).ok());
+  }
+  ASSERT_TRUE(service.Start().ok());
+
+  Rng rng(83);
+  const auto readings = [&rng](int64_t n) {
+    std::vector<float> series(static_cast<size_t>(n));
+    for (auto& v : series) v = static_cast<float>(rng.Uniform(0.0, 3000.0));
+    return series;
+  };
+  for (size_t a = 0; a < names.size(); ++a) {
+    const std::string& name = names[a];
+    serve::BatchRunner lone(&ensembles[a], runner);
+    // 9 readings ride one padded window; 16-40 fill one batch of up to
+    // four windows; 80 spans three batches.
+    for (int64_t len : {9, 16, 33, 40, 80}) {
+      const std::vector<float> series = readings(len);
+      Result<serve::ScanResult> served = service.Submit(name, series).get();
+      ASSERT_TRUE(served.ok()) << served.status().ToString();
+      ExpectBitwiseEqual(served.value(), lone.Scan(series),
+                         name + " scan of " + std::to_string(len));
+    }
+    Result<std::shared_ptr<serve::Session>> session =
+        service.CreateSession(name);
+    ASSERT_TRUE(session.ok()) << session.status().ToString();
+    serve::SessionScanState state;
+    for (int64_t len : {80, 8, 8, 3, 5, 8, 0}) {
+      const std::vector<float> delta = readings(len);
+      Result<serve::ScanResult> served =
+          service.AppendReadings(session.value(), delta).get();
+      ASSERT_TRUE(served.ok()) << served.status().ToString();
+      const serve::ScanResult want = lone.AppendScan(&state, delta);
+      EXPECT_EQ(served.value().from, want.from);
+      EXPECT_EQ(served.value().windows, want.windows);
+      ExpectBitwiseEqual(served.value(), want,
+                         name + " append of " + std::to_string(len));
+    }
+  }
+  service.Shutdown();
 }
 
 TEST(ServiceTest, SessionAppendsMatchFromScratchSubmitsBitwise) {
