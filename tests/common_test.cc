@@ -4,12 +4,17 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <functional>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include "common/csv.h"
 #include "common/parallel_for.h"
@@ -254,6 +259,118 @@ TEST(ParallelForTest, BudgetScopeWiderThanPoolStillCoversRanges) {
   scoped.join();
 }
 
+// Runs \p lanes lanes from the calling thread that each wait at a
+// barrier, with a timeout, until every lane has arrived, and returns how
+// many saw the full count. Lanes run one after another would each give
+// up short of it. \p body, when given, runs in each lane before it
+// leaves the barrier.
+int LanesThatMeet(int lanes, const std::function<void(int)>& body = {}) {
+  std::atomic<int> arrived{0};
+  std::atomic<int> met{0};
+  ParallelLanes(lanes, [&](int lane) {
+    arrived.fetch_add(1);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (arrived.load() < lanes &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    if (arrived.load() == lanes) met.fetch_add(1);
+    if (body) body(lane);
+  });
+  return met.load();
+}
+
+TEST(ParallelForTest, ThrowingBodyRethrowsAndLeavesThePoolServing) {
+  // A fresh thread, so its budget starts at the top level: the throw must
+  // come back out of ParallelFor (not end a helper thread), and leave both
+  // this thread's budget and the pool's job queue as they were.
+  const int lanes = NumThreads();
+  std::thread thrower([lanes] {
+    const auto fail = [](int64_t) -> void {
+      throw std::runtime_error("body failed");
+    };
+    EXPECT_THROW(ParallelFor(0, 1000, fail), std::runtime_error);
+    // Still a top-level caller: its lanes fan out again and meet.
+    if (lanes >= 2) {
+      EXPECT_EQ(LanesThatMeet(lanes), lanes);
+    }
+  });
+  thrower.join();
+  std::thread other([] {
+    std::vector<std::atomic<int>> hits(1000);
+    ParallelFor(0, 1000, [&](int64_t i) { hits[i].fetch_add(1); });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  });
+  other.join();
+}
+
+TEST(NumThreadsTest, CountsAllowedCpusUnlessCamalThreadsIsSet) {
+  // internal::ThreadCount(CAMAL_THREADS, CPUs in the affinity mask) is
+  // NumThreads()'s rule; this suite forces CAMAL_THREADS, so the default
+  // is only observable through the rule.
+  struct Case {
+    const char* env;
+    int cpus;
+    int want;
+  };
+  const Case cases[] = {
+      // Unset: the CPUs allowed, at most 32; 0 (unknown) reads as 4.
+      {nullptr, 1, 1},
+      {nullptr, 2, 2},
+      {nullptr, 4, 4},
+      {nullptr, 64, 32},
+      {nullptr, 0, 4},
+      // A positive value wins whatever the mask, up to 64.
+      {"1", 4, 1},
+      {"4", 1, 4},
+      {"4", 2, 4},
+      {"4", 64, 4},
+      {"100", 2, 64},
+      {"100", 4, 64},
+      // Zero or not a number reads as unset.
+      {"0", 1, 1},
+      {"0", 2, 2},
+      {"0", 64, 32},
+      {"abc", 2, 2},
+      {"abc", 4, 4},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(internal::ThreadCount(c.env, c.cpus), c.want)
+        << "CAMAL_THREADS=" << (c.env == nullptr ? "(unset)" : c.env)
+        << " cpus " << c.cpus;
+  }
+}
+
+TEST(PoolWakeRuleTest, KeepsItsRulesOverEverySmallPool) {
+  // Every parked set, caller CPU (0-2, or unknown) and chunk count over
+  // three helpers, pinned or not: the first parked helpers off the
+  // caller's CPU, in helper order, at most chunks - 1 of them.
+  using internal::PickHelpers;
+  const std::vector<int> layouts[] = {{0, 1, 2}, {-1, -1, -1}, {2, -1, 0}};
+  for (const std::vector<int>& cpus : layouts) {
+    for (int parked = 0; parked < 8; ++parked) {
+      std::vector<bool> waiting(3);
+      for (int h = 0; h < 3; ++h) waiting[h] = ((parked >> h) & 1) != 0;
+      for (int caller = -1; caller < 3; ++caller) {
+        std::vector<int> eligible;
+        for (int h = 0; h < 3; ++h) {
+          const bool on_caller = cpus[h] >= 0 && cpus[h] == caller;
+          if (waiting[h] && !on_caller) eligible.push_back(h);
+        }
+        for (int64_t chunks = 1; chunks <= 5; ++chunks) {
+          const int64_t want = std::min<int64_t>(
+              chunks - 1, static_cast<int64_t>(eligible.size()));
+          EXPECT_EQ(PickHelpers(cpus, waiting, caller, chunks),
+                    std::vector<int>(eligible.begin(), eligible.begin() + want))
+              << "parked " << parked << " caller " << caller << " chunks "
+              << chunks;
+        }
+      }
+    }
+  }
+}
+
 // Busy-waits for \p us microseconds, so lanes of one job overlap when
 // helpers are free.
 void Linger(int us) {
@@ -295,28 +412,94 @@ TEST(ParallelLanesTest, NeverRunsMoreBodiesThanLanes) {
 }
 
 TEST(ParallelLanesTest, LanesRunAtTheSameTime) {
-  // The budget-1 thread's lanes must all be running at once: each waits
-  // at a barrier, with a timeout, until every lane has arrived. Lanes run
-  // one after another would each give up short of the full count.
+  // The budget-1 thread's lanes must all be running at once.
   const int lanes = NumThreads();
   if (lanes < 2) GTEST_SKIP() << "CAMAL_THREADS=1: lanes run in turn";
   std::thread scoped([lanes] {
     ParallelBudgetScope budget(1);
-    std::atomic<int> arrived{0};
-    std::atomic<int> met{0};
-    ParallelLanes(lanes, [&](int) {
-      arrived.fetch_add(1);
-      const auto deadline =
-          std::chrono::steady_clock::now() + std::chrono::seconds(10);
-      while (arrived.load() < lanes &&
-             std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::yield();
-      }
-      if (arrived.load() == lanes) met.fetch_add(1);
-    });
-    EXPECT_EQ(met.load(), lanes);
+    EXPECT_EQ(LanesThatMeet(lanes), lanes);
   });
   scoped.join();
+}
+
+#if defined(__linux__)
+// The calling thread's affinity mask, ascending.
+std::vector<int> AffinityCpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  std::vector<int> cpus;
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return cpus;
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (CPU_ISSET(cpu, &set)) cpus.push_back(cpu);
+  }
+  return cpus;
+}
+
+// Runs \p lanes lanes that meet at a barrier from a budget-1 thread and
+// returns the affinity masks seen by the lanes that ran off that thread.
+std::vector<std::vector<int>> HelperLaneMasks(int lanes) {
+  std::vector<std::vector<int>> helper_masks;
+  std::thread scoped([lanes, &helper_masks] {
+    ParallelBudgetScope budget(1);
+    const std::thread::id self = std::this_thread::get_id();
+    std::vector<std::vector<int>> masks(static_cast<size_t>(lanes));
+    std::vector<char> off_thread(static_cast<size_t>(lanes), 0);
+    const auto record = [&](int lane) {
+      const size_t l = static_cast<size_t>(lane);
+      off_thread[l] = std::this_thread::get_id() != self;
+      masks[l] = AffinityCpus();
+    };
+    EXPECT_EQ(LanesThatMeet(lanes, record), lanes);
+    for (size_t l = 0; l < masks.size(); ++l) {
+      if (off_thread[l] != 0) helper_masks.push_back(masks[l]);
+    }
+  });
+  scoped.join();
+  return helper_masks;
+}
+#endif
+
+TEST(ParallelLanesTest, HelperLanesRunPinnedOnDistinctCpus) {
+  // With one pool helper per CPU in the process mask, each helper is
+  // pinned to its own CPU: a lane that runs off the calling thread sees a
+  // one-CPU mask, and lanes that overlap on distinct helpers see
+  // distinct CPUs.
+#if defined(__linux__)
+  const int lanes = NumThreads();
+  if (lanes < 2) GTEST_SKIP() << "CAMAL_THREADS=1: no pool helpers";
+  if (static_cast<int>(AffinityCpus().size()) != lanes) {
+    GTEST_SKIP() << "CPUs allowed differ from pool helpers: none pinned";
+  }
+  const std::vector<std::vector<int>> masks = HelperLaneMasks(lanes);
+  ASSERT_EQ(static_cast<int>(masks.size()), lanes - 1);
+  std::set<int> cpus;
+  for (const std::vector<int>& mask : masks) {
+    ASSERT_EQ(mask.size(), 1u);
+    cpus.insert(mask[0]);
+  }
+  EXPECT_EQ(cpus.size(), masks.size());
+#else
+  GTEST_SKIP() << "helpers are pinned on Linux only";
+#endif
+}
+
+TEST(ParallelLanesTest, HelpersStayUnpinnedUnlessTheyCoverTheMask) {
+  // A pool narrowed below the process mask (CAMAL_THREADS=2 on four CPUs)
+  // or widened above it leaves its helpers to the scheduler: a lane that
+  // runs off the calling thread sees the whole mask.
+#if defined(__linux__)
+  const int lanes = NumThreads();
+  if (lanes < 2) GTEST_SKIP() << "CAMAL_THREADS=1: no pool helpers";
+  const std::vector<int> allowed = AffinityCpus();
+  if (static_cast<int>(allowed.size()) == lanes) {
+    GTEST_SKIP() << "one pool helper per CPU allowed: pinned";
+  }
+  const std::vector<std::vector<int>> masks = HelperLaneMasks(lanes);
+  ASSERT_EQ(static_cast<int>(masks.size()), lanes - 1);
+  for (const std::vector<int>& mask : masks) EXPECT_EQ(mask, allowed);
+#else
+  GTEST_SKIP() << "helpers are pinned on Linux only";
+#endif
 }
 
 TEST(ParallelLanesTest, RunsInlineInsideAPoolChunk) {
