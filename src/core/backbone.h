@@ -21,9 +21,10 @@ const char* BackboneKindName(BackboneKind kind);
 class CamBackbone : public nn::Module {
  public:
   /// Serving forward, (N, C_in, L) -> (N, num_classes) logits, writing the
-  /// pre-GAP feature maps (N, K, L) to \p feature_maps. Reads the model
-  /// only, so threads may share it; needs eval mode (CamalEnsemble sets
-  /// it), or BatchNorm would update its running statistics.
+  /// pre-GAP feature maps (N, K, L) to \p feature_maps unless it is null.
+  /// Reads the model only, so threads may share it; needs eval mode
+  /// (CamalEnsemble sets it), or BatchNorm would update its running
+  /// statistics.
   virtual nn::Tensor Infer(const nn::Tensor& x,
                            nn::Tensor* feature_maps) const = 0;
 

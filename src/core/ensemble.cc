@@ -222,17 +222,12 @@ nn::Tensor CamalEnsemble::DetectProbabilityBatched(
   const int lanes =
       static_cast<int>(std::min<size_t>(n, 1 + std::max(0, spare)));
   std::vector<nn::Tensor> logits(n);
-  // Without a maps out, each lane overwrites its own discard slot.
-  std::vector<nn::Tensor> discarded(
-      feature_maps != nullptr ? 0 : static_cast<size_t>(lanes));
   std::atomic<size_t> next{0};
-  ParallelLanes(lanes, [&](int lane) {
+  ParallelLanes(lanes, [&](int) {
     for (size_t k; (k = next.fetch_add(1, std::memory_order_relaxed)) < n;) {
       const size_t m = cost_order_[k];
-      nn::Tensor* maps = feature_maps != nullptr
-                             ? &(*feature_maps)[m]
-                             : &discarded[static_cast<size_t>(lane)];
-      logits[m] = members_[m].model->Infer(inputs, maps);
+      logits[m] = members_[m].model->Infer(
+          inputs, feature_maps != nullptr ? &(*feature_maps)[m] : nullptr);
     }
   });
   return MeanClassOneProbability(logits);

@@ -1,5 +1,7 @@
 #include "core/inception.h"
 
+#include <utility>
+
 #include "nn/activations.h"
 
 namespace camal::core {
@@ -147,9 +149,10 @@ nn::Tensor InceptionClassifier::Infer(const nn::Tensor& x,
   nn::Tensor h = x;
   for (const Block& block : blocks_) h = InferBlock(block, h);
   nn::Tensor skip = shortcut_->ForwardInference(x);
-  *feature_maps = final_relu_->ForwardInference(nn::Add(h, skip));
-  nn::Tensor pooled = gap_->ForwardInference(*feature_maps);
-  return head_seq_->ForwardInference(pooled);
+  nn::Tensor maps = final_relu_->ForwardInference(nn::Add(h, skip));
+  nn::Tensor logits = head_seq_->ForwardInference(gap_->ForwardInference(maps));
+  if (feature_maps != nullptr) *feature_maps = std::move(maps);
+  return logits;
 }
 
 nn::Tensor InceptionClassifier::Backward(const nn::Tensor& grad_output) {

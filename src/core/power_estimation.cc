@@ -14,16 +14,21 @@ nn::Tensor EstimatePower(const nn::Tensor& status,
   CAMAL_CHECK_EQ(status.ndim(), 2);
   const int64_t n = status.dim(0), l = status.dim(1);
   CAMAL_CHECK_EQ(aggregate_watts.numel(), n * l);
+  nn::Tensor power = nn::Tensor::Uninitialized({n, l});
+  EstimatePower(status.data(), aggregate_watts.data(), n * l, avg_power_w,
+                power.data());
+  return power;
+}
+
+void EstimatePower(const float* status, const float* aggregate_watts,
+                   int64_t count, float avg_power_w, float* power) {
   CAMAL_CHECK_GE(avg_power_w, 0.0f);
-  nn::Tensor power({n, l});
-  const float* agg = aggregate_watts.data();
-  ParallelForChunked(0, n * l, [&](int64_t begin, int64_t end) {
+  ParallelForChunked(0, count, [&](int64_t begin, int64_t end) {
     for (int64_t i = begin; i < end; ++i) {
-      const float initial = status.at(i) >= 0.5f ? avg_power_w : 0.0f;
-      power.at(i) = std::min(initial, std::max(0.0f, agg[i]));
+      const float initial = status[i] >= 0.5f ? avg_power_w : 0.0f;
+      power[i] = std::min(initial, std::max(0.0f, aggregate_watts[i]));
     }
   });
-  return power;
 }
 
 nn::Tensor EstimatePowerRefined(const nn::Tensor& status,

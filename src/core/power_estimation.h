@@ -16,6 +16,11 @@ nn::Tensor EstimatePower(const nn::Tensor& status,
                          const nn::Tensor& aggregate_watts,
                          float avg_power_w);
 
+/// The same rule over \p count readings in caller buffers: writes
+/// \p power, which may alias \p aggregate_watts.
+void EstimatePower(const float* status, const float* aggregate_watts,
+                   int64_t count, float avg_power_w, float* power);
+
 /// Refined segment-wise power estimation — the post-processing the paper's
 /// §V-I names as future work ("more advanced post-processing methods are
 /// needed to refine the estimated consumption").

@@ -2,9 +2,11 @@
 #define CAMAL_CORE_RESNET_H_
 
 #include <memory>
+#include <vector>
 
 #include "common/rng.h"
 #include "core/backbone.h"
+#include "nn/batchnorm1d.h"
 #include "nn/conv1d.h"
 #include "nn/linear.h"
 #include "nn/module.h"
@@ -41,8 +43,11 @@ class ResNetClassifier : public CamBackbone {
   nn::Tensor Forward(const nn::Tensor& x) override;
   nn::Tensor Backward(const nn::Tensor& grad_output) override;
 
-  /// Batched inference path: im2col+GEMM convolutions and fused BatchNorm,
-  /// no backward caches.
+  /// Batched inference path: the plan compiled at construction, whose
+  /// fused conv steps run over this thread's activation arena (see
+  /// resnet.cc). \p feature_maps, when set, serves as the last step's
+  /// slot and is reused in place (Tensor::Resize); it must not be \p x.
+  /// Needs eval mode.
   nn::Tensor Infer(const nn::Tensor& x,
                    nn::Tensor* feature_maps) const override;
   /// Infer into feature_maps(), so CAM extraction works after it.
@@ -61,8 +66,29 @@ class ResNetClassifier : public CamBackbone {
   int64_t base_filters() const override { return config_.base_filters; }
 
  private:
+  /// PlanStep slot values besides arena slots 0, 1, 2.
+  static constexpr int kInput = -1;       ///< the caller's x
+  static constexpr int kNoResidual = -2;  ///< the step adds none
+
+  /// One step of the inference plan: conv -> BatchNorm affine [-> ReLU],
+  /// or, closing a residual unit, conv -> BatchNorm affine -> + residual
+  /// -> clamp, in one conv epilogue. in, residual and out name arena
+  /// slots (or kInput / kNoResidual).
+  struct PlanStep {
+    const nn::Conv1d* conv = nullptr;
+    const nn::BatchNorm1d* bn = nullptr;
+    bool relu = false;
+    int in = kInput;
+    int residual = kNoResidual;
+    int out = 0;
+  };
+
+  /// Appends one residual unit to body_ and its steps to plan_.
+  void AddUnit(int64_t in_channels, int64_t out_channels, Rng* rng);
+
   ResNetConfig config_;
   std::unique_ptr<nn::Sequential> body_;  // residual units + ReLUs
+  std::vector<PlanStep> plan_;
   std::unique_ptr<nn::GlobalAvgPool1d> gap_;
   nn::Linear* head_ = nullptr;            // owned by head_seq_
   std::unique_ptr<nn::Sequential> head_seq_;

@@ -82,36 +82,42 @@ Tensor Conv1d::Forward(const Tensor& x) {
   return y;
 }
 
-Tensor Conv1d::RunBatched(const Tensor& x, const float* row_scale,
-                          const float* row_shift, bool fuse_relu,
-                          ConvPool pool, int64_t pool_size) {
+Tensor Conv1d::RunBatched(const Tensor& x,
+                          const ConvGemmParams& epilogue) const {
   CAMAL_CHECK_EQ(x.ndim(), 3);
   CAMAL_CHECK_EQ(x.dim(1), options_.in_channels);
-  const int64_t n = x.dim(0), cin = options_.in_channels, lin = x.dim(2);
-  const int64_t cout = options_.out_channels, k = options_.kernel_size;
+  const bool pooled = epilogue.pool != ConvPool::kNone;
+  if (pooled) CAMAL_CHECK(ConvGemmSupportsPool(epilogue.pool_size));
+  const int64_t lpool =
+      OutputLength(x.dim(2)) / (pooled ? epilogue.pool_size : 1);
+  CAMAL_CHECK_GT(lpool, 0);
+  Tensor y = Tensor::Uninitialized({x.dim(0), options_.out_channels, lpool});
+  RunSamples(x.data(), x.dim(0), x.dim(2), epilogue, y.data());
+  return y;
+}
+
+void Conv1d::RunSamples(const float* x, int64_t n, int64_t length,
+                        ConvGemmParams epilogue, float* y) const {
+  const int64_t cin = options_.in_channels, lin = length;
+  const int64_t cout = options_.out_channels;
   const int64_t lout = OutputLength(lin);
   CAMAL_CHECK_GT(lout, 0);
-  const int64_t pw = pool == ConvPool::kNone ? 1 : pool_size;
-  if (pool != ConvPool::kNone) CAMAL_CHECK(ConvGemmSupportsPool(pw));
+  const int64_t pw =
+      epilogue.pool == ConvPool::kNone ? 1 : epilogue.pool_size;
   const int64_t lpool = lout / pw;
-  CAMAL_CHECK_GT(lpool, 0);
-  Tensor y = Tensor::Uninitialized({n, cout, lpool});
   const int64_t pad = options_.padding;
   const int64_t lpad = lin + 2 * pad;
   const float* w = weight_.value.data();  // (cout, cin * k) row-major
 
-  ConvGemmParams params;
+  ConvGemmParams params = epilogue;
   params.cout = cout;
   params.cin = cin;
-  params.kernel = k;
+  params.kernel = options_.kernel_size;
   params.lpad = lpad;
   params.stride = options_.stride;
   params.dilation = options_.dilation;
-  params.pool = pool;
   params.pool_size = pw;
-  params.row_scale = row_scale;
-  params.row_shift = row_shift;
-  params.relu = fuse_relu;
+  const float* residual = epilogue.residual;  // whole batch, laid out like y
 
   // Implicit im2col for every geometry: the conv GEMM samples the padded
   // input at stride/dilation offsets directly, so only an L1-sized
@@ -125,8 +131,9 @@ Tensor Conv1d::RunBatched(const Tensor& x, const float* row_scale,
     } else {
       xpad.assign(static_cast<size_t>(cin * lpad), 0.0f);
     }
+    ConvGemmParams sample_params = params;
     for (int64_t ni = n_begin; ni < n_end; ++ni) {
-      const float* sample = x.data() + ni * cin * lin;
+      const float* sample = x + ni * cin * lin;
       if (pad == 0) {
         sample_pad = sample;
       } else {
@@ -136,16 +143,18 @@ Tensor Conv1d::RunBatched(const Tensor& x, const float* row_scale,
         }
         sample_pad = xpad.data();
       }
-      ConvGemmEpilogue(w, sample_pad, y.data() + ni * cout * lpool, params);
+      if (residual != nullptr) {
+        sample_params.residual = residual + ni * cout * lpool;
+      }
+      ConvGemmEpilogue(w, sample_pad, y + ni * cout * lpool, sample_params);
     }
   });
-  return y;
 }
 
 Tensor Conv1d::ForwardInference(const Tensor& x) {
-  return RunBatched(x, /*row_scale=*/nullptr,
-                    options_.bias ? bias_.value.data() : nullptr,
-                    /*fuse_relu=*/false);
+  ConvGemmParams epilogue;
+  epilogue.row_shift = options_.bias ? bias_.value.data() : nullptr;
+  return RunBatched(x, epilogue);
 }
 
 Tensor Conv1d::ForwardInferenceFused(const Tensor& x,
@@ -153,10 +162,13 @@ Tensor Conv1d::ForwardInferenceFused(const Tensor& x,
                                      const float* channel_shift,
                                      bool fuse_relu, ConvPool pool,
                                      int64_t pool_size) {
-  if (!options_.bias) {
-    return RunBatched(x, channel_scale, channel_shift, fuse_relu, pool,
-                      pool_size);
-  }
+  ConvGemmParams epilogue;
+  epilogue.row_scale = channel_scale;
+  epilogue.row_shift = channel_shift;
+  epilogue.relu = fuse_relu;
+  epilogue.pool = pool;
+  epilogue.pool_size = pool_size;
+  if (!options_.bias) return RunBatched(x, epilogue);
   // Fold the conv bias into the shift: s * (conv + bias) + t.
   std::vector<float> shift(static_cast<size_t>(options_.out_channels));
   for (int64_t co = 0; co < options_.out_channels; ++co) {
@@ -164,8 +176,21 @@ Tensor Conv1d::ForwardInferenceFused(const Tensor& x,
     const float t = channel_shift != nullptr ? channel_shift[co] : 0.0f;
     shift[static_cast<size_t>(co)] = s * bias_.value.at(co) + t;
   }
-  return RunBatched(x, channel_scale, shift.data(), fuse_relu, pool,
-                    pool_size);
+  epilogue.row_shift = shift.data();
+  return RunBatched(x, epilogue);
+}
+
+void Conv1d::ForwardInferenceInto(const float* x, int64_t n, int64_t length,
+                                  const float* channel_scale,
+                                  const float* channel_shift, bool fuse_relu,
+                                  const float* residual, float* y) const {
+  CAMAL_CHECK(!options_.bias);
+  ConvGemmParams epilogue;
+  epilogue.row_scale = channel_scale;
+  epilogue.row_shift = channel_shift;
+  epilogue.relu = fuse_relu;
+  epilogue.residual = residual;
+  RunSamples(x, n, length, epilogue, y);
 }
 
 Tensor Conv1d::Backward(const Tensor& grad_output) {

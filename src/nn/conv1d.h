@@ -60,19 +60,35 @@ class Conv1d : public Module {
                                ConvPool pool = ConvPool::kNone,
                                int64_t pool_size = 1);
 
+  /// The unpooled fused forward into caller-owned storage, the step of a
+  /// compiled inference plan (ResNetClassifier): \p x is (n, in_channels,
+  /// length) and \p y (n, out_channels, OutputLength(length)). A
+  /// \p residual laid out like y is added after the affine and clamped
+  /// (ConvGemmParams::residual); fuse_relu must then be false. The layer
+  /// must have no bias (a plan's BatchNorm shift replaces it).
+  void ForwardInferenceInto(const float* x, int64_t n, int64_t length,
+                            const float* channel_scale,
+                            const float* channel_shift, bool fuse_relu,
+                            const float* residual, float* y) const;
+
   void CollectParameters(std::vector<Parameter*>* out) override;
 
   Parameter& weight() { return weight_; }
   Parameter& bias_param() { return bias_; }
+  const Conv1dOptions& options() const { return options_; }
 
   /// Output length for an input of length \p input_length.
   int64_t OutputLength(int64_t input_length) const;
 
  private:
-  /// Shared batched kernel behind ForwardInference / ForwardInferenceFused.
-  Tensor RunBatched(const Tensor& x, const float* row_scale,
-                    const float* row_shift, bool fuse_relu,
-                    ConvPool pool = ConvPool::kNone, int64_t pool_size = 1);
+  /// Allocates the output of \p x under \p epilogue (ConvGemmParams'
+  /// epilogue fields) and runs RunSamples into it.
+  Tensor RunBatched(const Tensor& x, const ConvGemmParams& epilogue) const;
+
+  /// The batched kernel behind every inference entry: the conv GEMM with
+  /// \p epilogue over the n samples of x (n, in_channels, length) into y.
+  void RunSamples(const float* x, int64_t n, int64_t length,
+                  ConvGemmParams epilogue, float* y) const;
 
   Conv1dOptions options_;
   Parameter weight_;  // (C_out, C_in, K)

@@ -1,5 +1,7 @@
 #include "nn/gemm.h"
 
+#include "common/check.h"
+
 namespace camal::nn {
 namespace internal {
 
@@ -59,6 +61,7 @@ bool ConvGemmSupportsPool(int64_t pool_size) {
 void ConvGemmEpilogue(const float* w, const float* xpad, float* y,
                       const ConvGemmParams& p) {
   if (p.cout <= 0) return;
+  CAMAL_CHECK(p.residual == nullptr || (p.pool == ConvPool::kNone && !p.relu));
   if (internal::HasAvx512Gemm()) {
     internal::ConvGemmEpilogueAvx512(w, xpad, y, p);
   } else if (internal::HasAvx2Gemm()) {

@@ -47,6 +47,12 @@ enum class ConvPool : int {
 /// Conv+BN+ReLU in the pooling-heavy baselines) and y has
 /// (conv_out / pool_size) columns; the conv-column remainder is dropped,
 /// exactly like a separate floor-mode pool.
+///
+/// With residual set (unpooled, relu false) each output becomes
+///   v = row_scale[i] * acc + row_shift[i] + residual,  v > 0 ? v : 0
+/// — a residual unit's shortcut add and ReLU in the epilogue. That clamp
+/// turns NaN and -0.0 into +0.0, unlike the conv ReLU (v < 0 -> 0), which
+/// keeps both.
 struct ConvGemmParams {
   int64_t cout = 0;
   int64_t cin = 0;
@@ -59,6 +65,8 @@ struct ConvGemmParams {
   const float* row_scale = nullptr;  ///< per-output-channel scale (or null)
   const float* row_shift = nullptr;  ///< per-output-channel shift (or null)
   bool relu = false;
+  /// Shortcut input (cout, conv output length) laid out like y, or null.
+  const float* residual = nullptr;
 };
 
 /// Conv output length (before any fused pooling) for \p p.
@@ -79,7 +87,8 @@ bool ConvGemmSupportsPool(int64_t pool_size);
 /// multiply-add chain over (ci, kk) from zero in every tile of a dispatch
 /// tier — fused on AVX2 and AVX-512, unfused on the portable tier on
 /// baseline x86-64 — so results are independent of batch composition and
-/// tile placement. Same runtime CPU dispatch as GemmEpilogue.
+/// tile placement. Same runtime CPU dispatch as GemmEpilogue. A residual
+/// with a pool or the ReLU is rejected.
 void ConvGemmEpilogue(const float* w, const float* xpad, float* y,
                       const ConvGemmParams& p);
 

@@ -3,10 +3,10 @@
 // -mfma: the 16-wide inner loop of the tile becomes one zmm FMA per
 // accumulator row, and the narrower remainder loops fuse too. Unpooled
 // stride-1 conv bands run the register band below: 4x64 tiles, one 4x32
-// tile for 32-63 remaining columns, with the BN/ReLU epilogue applied in
-// registers. Pooled full-width stride-1 tiles take the same register loop
-// through ConvRegisterTile; the tile loop keeps partial tails and strided
-// tiles.
+// tile for 32-63 remaining columns, with the BN/ReLU (or residual)
+// epilogue applied in registers. Pooled full-width stride-1 tiles take the
+// same register loop through ConvRegisterTile; the tile loop keeps
+// partial tails and strided tiles.
 
 #include "nn/gemm.h"
 
@@ -78,17 +78,21 @@ inline bool ConvRegisterTile(const float* const* a, const float* x, int64_t cin,
   return true;
 }
 
-// One band tile: rows i0..i0+3, the 16 * kNv columns whose column 0 reads
-// x and writes y (ldy is y's row stride). The epilogue stays in
-// registers: s * acc + t is the tile loop's expression, so it contracts
-// (or not) exactly as ConvStoreTile's does, and the ReLU is a
-// compare-mask blend, v < 0 -> +0.0, which keeps NaN and -0.0 as the
-// scalar clamp does (_mm512_max_ps(v, 0) would return +0.0 for both).
+// One band tile: rows i0..i0+3, columns j0..j0+16*kNv-1 of the band
+// whose column 0 reads xpad, writes band and, when the run has a
+// residual, reads res (ldy is the row stride of band and res). The
+// epilogue stays in registers: s * acc + t (+ res) is the tile loop's
+// expression, so it contracts (or not) exactly as ConvStoreTile's does.
+// The ReLU is a compare-mask blend, v < 0 -> +0.0, which keeps NaN and
+// -0.0 as the scalar clamp does (_mm512_max_ps(v, 0) would return +0.0
+// for both); the residual clamp keeps v > 0 only, so both become +0.0
+// there.
 template <int kNv>
-inline void ConvBandTile(const float* const* a, const float* x, float* y,
-                         int64_t i0, int64_t ldy, const ConvGemmParams& p) {
+inline void ConvBandTile(const float* const* a, const float* xpad,
+                         float* band, const float* res, int64_t i0,
+                         int64_t j0, int64_t ldy, const ConvGemmParams& p) {
   __m512 c[4][kNv];
-  ConvBandSums<kNv>(a, x, p.cin, p.kernel, p.lpad, p.dilation, c);
+  ConvBandSums<kNv>(a, xpad + j0, p.cin, p.kernel, p.lpad, p.dilation, c);
   const __m512 zero = _mm512_setzero_ps();
   for (int r = 0; r < 4; ++r) {
     const __m512 s = _mm512_set1_ps(
@@ -97,11 +101,15 @@ inline void ConvBandTile(const float* const* a, const float* x, float* y,
         p.row_shift != nullptr ? p.row_shift[i0 + r] : 0.0f);
     for (int v = 0; v < kNv; ++v) {
       __m512 out = s * c[r][v] + t;
-      if (p.relu) {
+      if (res != nullptr) {
+        out = out + _mm512_loadu_ps(res + r * ldy + j0 + 16 * v);
+        const __mmask16 pos = _mm512_cmp_ps_mask(out, zero, _CMP_GT_OQ);
+        out = _mm512_maskz_mov_ps(pos, out);
+      } else if (p.relu) {
         const __mmask16 neg = _mm512_cmp_ps_mask(out, zero, _CMP_LT_OQ);
         out = _mm512_mask_blend_ps(neg, out, zero);
       }
-      _mm512_storeu_ps(y + r * ldy + 16 * v, out);
+      _mm512_storeu_ps(band + r * ldy + j0 + 16 * v, out);
     }
   }
 }
@@ -114,12 +122,13 @@ inline int64_t ConvRegisterBand(const float* const (&a)[4], const float* xpad,
                                 float* y, int64_t i0, int64_t lout,
                                 const ConvGemmParams& p) {
   float* band = y + i0 * lout;
+  const float* res = p.residual != nullptr ? p.residual + i0 * lout : nullptr;
   int64_t j0 = 0;
   for (; j0 + 64 <= lout; j0 += 64) {
-    ConvBandTile<4>(a, xpad + j0, band + j0, i0, lout, p);
+    ConvBandTile<4>(a, xpad, band, res, i0, j0, lout, p);
   }
   if (j0 + 32 <= lout) {
-    ConvBandTile<2>(a, xpad + j0, band + j0, i0, lout, p);
+    ConvBandTile<2>(a, xpad, band, res, i0, j0, lout, p);
     j0 += 32;
   }
   return j0;

@@ -167,16 +167,28 @@ Tensor GlobalAvgPool1d::Forward(const Tensor& x) {
 
 Tensor GlobalAvgPool1d::ForwardInference(const Tensor& x) {
   CAMAL_CHECK_EQ(x.ndim(), 3);
-  const int64_t n = x.dim(0), c = x.dim(1), l = x.dim(2);
-  Tensor y({n, c});
+  const int64_t rows = x.dim(0) * x.dim(1), l = x.dim(2);
+  Tensor y = Tensor::Uninitialized({x.dim(0), x.dim(1)});
   const float inv_l = 1.0f / static_cast<float>(l);
-  for (int64_t ni = 0; ni < n; ++ni) {
-    for (int64_t ci = 0; ci < c; ++ci) {
-      const float* row = x.data() + (ni * c + ci) * l;
-      float acc = 0.0f;
-      for (int64_t t = 0; t < l; ++t) acc += row[t];
-      y.at2(ni, ci) = acc * inv_l;
+  const float* in = x.data();
+  float* out = y.data();
+  // Eight rows at a time: eight independent add chains instead of one
+  // latency-bound chain. Each row is still summed left to right from
+  // zero, so the bits equal a row-at-a-time loop's.
+  int64_t r0 = 0;
+  for (; r0 + 8 <= rows; r0 += 8) {
+    const float* block = in + r0 * l;
+    float acc[8] = {};
+    for (int64_t t = 0; t < l; ++t) {
+      for (int r = 0; r < 8; ++r) acc[r] += block[r * l + t];
     }
+    for (int r = 0; r < 8; ++r) out[r0 + r] = acc[r] * inv_l;
+  }
+  for (; r0 < rows; ++r0) {
+    const float* row = in + r0 * l;
+    float acc = 0.0f;
+    for (int64_t t = 0; t < l; ++t) acc += row[t];
+    out[r0] = acc * inv_l;
   }
   return y;
 }

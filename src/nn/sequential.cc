@@ -36,15 +36,6 @@ Tensor Sequential::ForwardInference(const Tensor& x) {
       ++i;
       continue;
     }
-    // Collapse Residual -> ReLU into the shortcut addition.
-    auto* residual = dynamic_cast<Residual*>(layers_[i].get());
-    if (residual != nullptr && i + 1 < layers_.size() &&
-        dynamic_cast<ReLU*>(layers_[i + 1].get()) != nullptr) {
-      h = residual->ForwardInferenceRelu(*in);
-      in = &h;
-      i += 2;
-      continue;
-    }
     // Collapse Conv [-> BatchNorm(eval)] [-> ReLU]
     // [-> MaxPool/AvgPool(w, w)] into one fused pass: the BatchNorm
     // affine, the ReLU clamp, and the non-overlapping pool all ride in
@@ -137,45 +128,6 @@ Tensor Residual::Forward(const Tensor& x) {
   CAMAL_CHECK_MSG(main.SameShape(skip),
                   "residual body/shortcut shape mismatch");
   return Add(main, skip);
-}
-
-namespace {
-
-// out += other, optionally clamped at zero, in one pass.
-void AddInPlaceMaybeRelu(Tensor* out, const Tensor& other, bool relu) {
-  CAMAL_CHECK_MSG(out->SameShape(other),
-                  "residual body/shortcut shape mismatch");
-  float* d = out->data();
-  const float* s = other.data();
-  const int64_t n = out->numel();
-  if (relu) {
-    for (int64_t i = 0; i < n; ++i) {
-      const float v = d[i] + s[i];
-      d[i] = v > 0.0f ? v : 0.0f;
-    }
-  } else {
-    for (int64_t i = 0; i < n; ++i) d[i] += s[i];
-  }
-}
-
-}  // namespace
-
-Tensor Residual::RunInference(const Tensor& x, bool relu) {
-  Tensor main = body_->ForwardInference(x);
-  if (shortcut_) {
-    AddInPlaceMaybeRelu(&main, shortcut_->ForwardInference(x), relu);
-  } else {
-    AddInPlaceMaybeRelu(&main, x, relu);
-  }
-  return main;
-}
-
-Tensor Residual::ForwardInference(const Tensor& x) {
-  return RunInference(x, /*relu=*/false);
-}
-
-Tensor Residual::ForwardInferenceRelu(const Tensor& x) {
-  return RunInference(x, /*relu=*/true);
 }
 
 Tensor Residual::Backward(const Tensor& grad_output) {

@@ -38,28 +38,20 @@ class Sequential : public Module {
 
 /// Residual wrapper: out = body(x) + shortcut(x), with an optional
 /// projection shortcut when channel counts differ (the ResUnit of Fig. 4).
-/// When \p shortcut is null the identity shortcut is used.
+/// When \p shortcut is null the identity shortcut is used. It has no
+/// inference kernel of its own: ResNetClassifier compiles its units into
+/// fused conv steps (the shortcut add rides in the last conv's epilogue).
 class Residual : public Module {
  public:
   Residual(std::unique_ptr<Module> body, std::unique_ptr<Module> shortcut);
 
   Tensor Forward(const Tensor& x) override;
   Tensor Backward(const Tensor& grad_output) override;
-  Tensor ForwardInference(const Tensor& x) override;
-
-  /// ForwardInference with the trailing ReLU of the residual unit fused
-  /// into the shortcut addition — one pass over the sum instead of two
-  /// (used by Sequential::ForwardInference when a ReLU follows).
-  Tensor ForwardInferenceRelu(const Tensor& x);
-
   void CollectParameters(std::vector<Parameter*>* out) override;
   void CollectBuffers(std::vector<Tensor*>* out) override;
   void SetTraining(bool training) override;
 
  private:
-  /// Shared body of ForwardInference / ForwardInferenceRelu.
-  Tensor RunInference(const Tensor& x, bool relu);
-
   std::unique_ptr<Module> body_;
   std::unique_ptr<Module> shortcut_;  // nullptr => identity
 };

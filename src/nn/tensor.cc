@@ -55,6 +55,14 @@ Tensor Tensor::Reshape(std::vector<int64_t> new_shape) const {
   return t;
 }
 
+void Tensor::Resize(std::vector<int64_t> shape) {
+  const size_t n = static_cast<size_t>(ShapeNumel(shape));
+  if (n * 4 < data_.capacity()) data_ = AlignedBuffer();
+  data_.clear();  // nothing to keep, so growing copies nothing
+  data_.resize(n);
+  shape_ = std::move(shape);
+}
+
 void Tensor::Fill(float value) {
   std::fill(data_.begin(), data_.end(), value);
 }

@@ -128,6 +128,13 @@ class Tensor {
   /// Returns a copy with a new shape; numel must match.
   Tensor Reshape(std::vector<int64_t> new_shape) const;
 
+  /// Gives this tensor \p shape in place, for an output a kernel fully
+  /// overwrites: element values are unspecified afterwards. The storage
+  /// stays while the new size needs at least a quarter of its capacity,
+  /// so a reused output allocates nothing for an equal or somewhat
+  /// smaller batch; a much smaller one gives the buffer back.
+  void Resize(std::vector<int64_t> shape);
+
   /// Sets every element to \p value.
   void Fill(float value);
 

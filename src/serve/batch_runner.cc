@@ -57,20 +57,20 @@ void BatchRunner::FinalizePower(data::SeriesView aggregate_watts,
   // the estimate is forced to 0 afterwards, so a voted-ON status at a NaN
   // timestamp can never report P_a-scale phantom power, whatever clamp
   // the estimator applies.
+  // One buffer: it takes the zero-filled watts, then the estimate in
+  // place.
   const int64_t len = aggregate_watts.size();
-  nn::Tensor watts({1, len});
+  CAMAL_CHECK_EQ(result->status.numel(), len);
+  result->power = nn::Tensor::Uninitialized({len});
+  float* power = result->power.data();
   for (int64_t t = 0; t < len; ++t) {
     const float v = aggregate_watts[t];
-    watts.at(t) = data::IsMissing(v) ? 0.0f : v;
+    power[t] = data::IsMissing(v) ? 0.0f : v;
   }
-  result->power =
-      core::EstimatePower(result->status.Reshape({1, len}), watts,
-                          options_.appliance_avg_power_w)
-          .Reshape({len});
+  core::EstimatePower(result->status.data(), power, len,
+                      options_.appliance_avg_power_w, power);
   for (int64_t t = 0; t < len; ++t) {
-    if (data::IsMissing(aggregate_watts[t])) {
-      result->power.at(t) = 0.0f;
-    }
+    if (data::IsMissing(aggregate_watts[t])) power[t] = 0.0f;
   }
 }
 
@@ -162,7 +162,6 @@ std::vector<ScanResult> BatchRunner::StitchPass(
     result.from = acc.base;
     result.detection = nn::Tensor({size});
     result.status = nn::Tensor({size});
-    result.power = nn::Tensor({size});
     overlay.prob_sum.clear();
     overlay.cover.clear();
     overlay.on_votes.clear();
@@ -245,7 +244,6 @@ std::vector<ScanResult> BatchRunner::StitchPass(
     ScanResult& result = results[i];
     result.seconds = seconds;
     const int64_t size = views[i].size();
-    if (size == 0) continue;
     const SessionScanState& acc = *votes[i];
     const SessionScanState& overlay = overlays_[i];
     for (int64_t t = 0; t < size; ++t) {

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sys/resource.h>
+#endif
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -7,8 +14,10 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/parallel_for.h"
 #include "common/rng.h"
 #include "core/ensemble.h"
 #include "core/inception.h"
@@ -277,8 +286,9 @@ TEST(FusedPoolTest, KernelHandlesNonDividingWindowsToRounding) {
 // Scalar oracle for every conv dispatch tier. Each output is one
 // multiply-add chain over (ci, kk) from zero — fused on the AVX2 and
 // AVX-512 tiers, a multiply then an add on the portable tier — then
-// s * acc + t, the ReLU clamp and a left-to-right pool. Path-vs-path
-// tests cannot see a change of accumulation order; these bits can.
+// s * acc + t, and either the ReLU clamp and a left-to-right pool or the
+// residual add and its clamp. Path-vs-path tests cannot see a change of
+// accumulation order; these bits can.
 
 // GCC contracts a * b + c into an FMA only when optimizing, so an
 // unoptimized build promises no fusion on the SIMD tiers.
@@ -304,6 +314,7 @@ struct OracleCase {
   nn::ConvPool pool;
   int64_t pool_size;
   bool scale, shift, relu;
+  bool residual = false;
 };
 
 std::vector<OracleCase> OracleCases() {
@@ -351,6 +362,20 @@ std::vector<OracleCase> OracleCases() {
       }
     }
   }
+  // Residual epilogues: the served shapes, partial tiles and 1-row
+  // remainder bands, the register band's splits, and stride 2 with
+  // dilation 2; the scale/shift mix cycles.
+  for (int64_t lout : {8, 17, 37, 64, 100, 127, 128, 191}) {
+    for (int64_t cout : {5, 16, 32}) {
+      for (int64_t cin : {1, 16}) {
+        const int64_t step = lout == 37 && cin == 16 ? 2 : 1;
+        const bool scale = mix & 1, shift = mix & 2;
+        mix = (mix + 1) % 8;
+        cases.push_back({cin, cout, cin == 1 ? 9 : 5, lout, step, step,
+                         ConvPool::kNone, 1, scale, shift, false, true});
+      }
+    }
+  }
   // Fused max and average pools, including strided ones.
   for (ConvPool pool : {ConvPool::kMax, ConvPool::kAvg}) {
     for (int64_t pw : {2, 4, 8}) {
@@ -393,7 +418,12 @@ std::vector<float> ConvOracle(const std::vector<float>& w,
         }
       }
       float v = MulAdd(s, acc, t, fused);
-      if (p.relu && v < 0.0f) v = 0.0f;
+      if (p.residual != nullptr) {
+        v = v + p.residual[co * lout + j];
+        v = v > 0.0f ? v : 0.0f;
+      } else if (p.relu && v < 0.0f) {
+        v = 0.0f;
+      }
       row[j] = v;
     }
     for (int64_t g = 0; g < lpool; ++g) {
@@ -420,6 +450,7 @@ std::string Describe(const OracleCase& c) {
   os << " lout=" << c.lout << " stride=" << c.stride
      << " dilation=" << c.dilation;
   os << " pool=" << static_cast<int>(c.pool) << "/" << c.pool_size;
+  if (c.residual) os << " residual";
   return os.str();
 }
 
@@ -468,8 +499,11 @@ void ExpectTierMatchesOracle(ConvKernel kernel, bool fused) {
     const std::vector<float> xpad = random(c.cin * p.lpad, -1, 1);
     const std::vector<float> scale = random(c.cout, 0.5, 1.5);
     const std::vector<float> shift = random(c.cout, -0.5, 0.5);
+    const std::vector<float> residual =
+        c.residual ? random(c.cout * c.lout, -1, 1) : std::vector<float>();
     p.row_scale = c.scale ? scale.data() : nullptr;
     p.row_shift = c.shift ? shift.data() : nullptr;
+    p.residual = c.residual ? residual.data() : nullptr;
     ASSERT_EQ(nn::ConvGemmOutputLength(p), c.lout);
     const int64_t bad = OracleMismatches(kernel, fused, w, xpad, p);
     if (bad > 0 && mismatches == 0) {
@@ -565,6 +599,76 @@ TEST(ConvOracleTest, ReluKeepsNanAndNegativeZeroOnEveryTier) {
   }
 }
 
+TEST(ConvOracleTest, ResidualClampZeroesNanAndNegativeZeroOnEveryTier) {
+  // The residual unit's clamp is v > 0 ? v : 0, so NaN and -0.0 sums
+  // become +0.0 there, where the conv ReLU keeps both. Scale -1 and shift
+  // -0.0 turn every all-zero receptive field into -0.0 and the residual
+  // adds -0.0 over those columns (40-79, across the two 4x64 tiles of the
+  // AVX-512 register band), so their sums are -0.0; a NaN reading and a
+  // NaN residual make NaN sums.
+  constexpr int64_t kChannels = 16, kKernel = 5, kLength = 128;
+  constexpr int64_t kZeroBegin = 40, kZeroLength = 44, kNanAt = 100;
+  constexpr int64_t kZeroColumns = kZeroLength - kKernel + 1;
+  nn::ConvGemmParams p;
+  p.cout = kChannels;
+  p.cin = kChannels;
+  p.kernel = kKernel;
+  p.lpad = kLength + kKernel - 1;
+  Rng rng(71);
+  std::vector<float> w(static_cast<size_t>(kChannels * kChannels * kKernel));
+  std::vector<float> xpad(static_cast<size_t>(kChannels * p.lpad));
+  std::vector<float> residual(static_cast<size_t>(kChannels * kLength));
+  for (float& f : w) f = static_cast<float>(rng.Uniform(-1, 1));
+  for (float& f : xpad) f = static_cast<float>(rng.Uniform(-1, 1));
+  for (float& f : residual) f = static_cast<float>(rng.Uniform(-1, 1));
+  for (int64_t c = 0; c < kChannels; ++c) {
+    std::fill_n(xpad.begin() + c * p.lpad + kZeroBegin, kZeroLength, 0.0f);
+    std::fill_n(residual.begin() + c * kLength + kZeroBegin, kZeroColumns,
+                -0.0f);
+  }
+  xpad[3 * p.lpad + kNanAt] = std::numeric_limits<float>::quiet_NaN();
+  residual[5 * kLength + 20] = std::numeric_limits<float>::quiet_NaN();
+  const std::vector<float> scale(kChannels, -1.0f), shift(kChannels, -0.0f);
+  p.row_scale = scale.data();
+  p.row_shift = shift.data();
+  ASSERT_EQ(nn::ConvGemmOutputLength(p), kLength);
+
+  // The sums the clamp sees: the oracle's conv, then the residual.
+  const std::vector<float> conv = ConvOracle(w, xpad, p, /*fused=*/true);
+  p.residual = residual.data();
+  const std::vector<float> want = ConvOracle(w, xpad, p, /*fused=*/true);
+  int64_t nans = 0, negative_zeros = 0;
+  for (size_t i = 0; i < conv.size(); ++i) {
+    const float sum = conv[i] + residual[i];
+    nans += std::isnan(sum) ? 1 : 0;
+    negative_zeros += Bits(sum) == Bits(-0.0f) ? 1 : 0;
+    if (std::isnan(sum) || Bits(sum) == Bits(-0.0f)) {
+      EXPECT_EQ(Bits(want[i]), Bits(0.0f)) << "output " << i;
+    }
+  }
+  EXPECT_EQ(negative_zeros, kZeroColumns * kChannels);
+  EXPECT_EQ(nans, kKernel * kChannels + 1);
+
+  if (nn::internal::HasAvx512Gemm() && kSimdTiersFuse) {
+    EXPECT_EQ(OracleMismatches(&nn::internal::ConvGemmEpilogueAvx512,
+                               /*fused=*/true, w, xpad, p),
+              0)
+        << "AVX-512 tier";
+  }
+  if (nn::internal::HasAvx2Gemm() && kSimdTiersFuse) {
+    EXPECT_EQ(OracleMismatches(&nn::internal::ConvGemmEpilogueAvx2,
+                               /*fused=*/true, w, xpad, p),
+              0)
+        << "AVX2 tier";
+  }
+  if (kPortableTierUnfused) {
+    EXPECT_EQ(OracleMismatches(&nn::internal::ConvGemmEpilogueGeneric,
+                               /*fused=*/false, w, xpad, p),
+              0)
+        << "portable tier";
+  }
+}
+
 TEST(Conv1dInferenceTest, NoBiasAndSingleSample) {
   Rng rng(6);
   nn::Conv1dOptions opt;
@@ -576,6 +680,34 @@ TEST(Conv1dInferenceTest, NoBiasAndSingleSample) {
   nn::Conv1d conv(opt, &rng);
   nn::Tensor x = RandomTensor({1, 2, 17}, &rng);
   EXPECT_LT(MaxAbsDiff(conv.Forward(x), conv.ForwardInference(x)), 1e-5);
+}
+
+TEST(GlobalAvgPoolInferenceTest, EightRowBlocksKeepEachRowsBits) {
+  // ForwardInference sums eight rows at a time, each still one
+  // left-to-right chain from zero, so every mean has the bits of a
+  // one-row-at-a-time sum. Rows run over channels, then over samples.
+  Rng rng(90);
+  nn::GlobalAvgPool1d gap;
+  for (int64_t rows = 1; rows <= 17; ++rows) {
+    for (int64_t length : {37, 128}) {
+      for (const bool by_channel : {true, false}) {
+        SCOPED_TRACE("rows=" + std::to_string(rows) +
+                     " L=" + std::to_string(length));
+        const nn::Tensor x = RandomTensor(
+            by_channel ? std::vector<int64_t>{1, rows, length}
+                       : std::vector<int64_t>{rows, 1, length},
+            &rng);
+        const nn::Tensor got = gap.ForwardInference(x);
+        ASSERT_EQ(got.numel(), rows);
+        const float inv_l = 1.0f / static_cast<float>(length);
+        for (int64_t r = 0; r < rows; ++r) {
+          float acc = 0.0f;
+          for (int64_t t = 0; t < length; ++t) acc += x.at(r * length + t);
+          EXPECT_EQ(Bits(got.at(r)), Bits(acc * inv_l)) << "row " << r;
+        }
+      }
+    }
+  }
 }
 
 TEST(BatchNormInferenceTest, EvalModeAgreesWithForward) {
@@ -694,6 +826,136 @@ TEST(ResNetInferenceTest, ConstInferEqualsForwardInferenceBitwise) {
   const nn::Tensor logits = frozen.Infer(x, &maps);
   ExpectSameBits(logits, model.ForwardInference(x));
   ExpectSameBits(maps, model.feature_maps());
+}
+
+TEST(ResNetInferenceTest, BatchedInferEqualsEachWindowsOwnBitwise) {
+  // Every window of a batch runs the same per-sample conv steps, GAP rows
+  // and head row as it does alone, so batch composition changes no bit of
+  // the logits or the maps: what coalesced serving relies on. L = 37
+  // leaves partial tiles; L = 128 is the served window.
+  constexpr int64_t kBatch = 7;
+  for (const auto& [filters, length] :
+       {std::pair<int64_t, int64_t>{8, 37}, {16, 128}}) {
+    SCOPED_TRACE("f=" + std::to_string(filters) +
+                 " L=" + std::to_string(length));
+    Rng rng(static_cast<uint64_t>(40 + filters));
+    core::ResNetConfig config;
+    config.base_filters = filters;
+    config.kernel_size = 9;
+    core::ResNetClassifier model(config, &rng);
+    WarmBatchNorm(&model, length, &rng);
+    const core::CamBackbone& frozen = model;
+    const nn::Tensor x = RandomTensor({kBatch, 1, length}, &rng);
+    nn::Tensor maps;
+    const nn::Tensor logits = frozen.Infer(x, &maps);
+    ASSERT_EQ(maps.dim(0), kBatch);
+    const int64_t per_window = maps.numel() / kBatch;
+    for (int64_t i = 0; i < kBatch; ++i) {
+      nn::Tensor window({1, 1, length});
+      std::copy_n(x.data() + i * length, length, window.data());
+      nn::Tensor window_maps;
+      const nn::Tensor window_logits = frozen.Infer(window, &window_maps);
+      ASSERT_EQ(window_logits.numel(), 2);
+      ASSERT_EQ(window_maps.numel(), per_window);
+      EXPECT_EQ(std::memcmp(window_logits.data(), logits.data() + i * 2,
+                            2 * sizeof(float)),
+                0)
+          << "logits of window " << i;
+      EXPECT_EQ(std::memcmp(window_maps.data(), maps.data() + i * per_window,
+                            sizeof(float) * static_cast<size_t>(per_window)),
+                0)
+          << "maps of window " << i;
+    }
+  }
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define CAMAL_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define CAMAL_TEST_SANITIZED 1
+#endif
+#endif
+
+// The served ensemble's shape: three ResNet members, f=16,
+// k in {5, 9, 15}, warmed BatchNorm. Unused where both of its tests
+// skip at compile time.
+[[maybe_unused]] core::CamalEnsemble ServedShapeEnsemble(Rng* rng) {
+  std::vector<core::EnsembleMember> members;
+  for (int64_t k : {5, 9, 15}) {
+    core::ResNetConfig config;
+    config.base_filters = 16;
+    config.kernel_size = k;
+    core::EnsembleMember member;
+    member.model = std::make_unique<core::ResNetClassifier>(config, rng);
+    WarmBatchNorm(member.model.get(), 128, rng);
+    member.kernel_size = k;
+    members.push_back(std::move(member));
+  }
+  return core::CamalEnsemble::FromMembers(std::move(members));
+}
+
+TEST(ResNetInferenceTest, SteadyStateForwardsReuseStorageAndTakeNoFaults) {
+#if !defined(__linux__) || defined(CAMAL_TEST_SANITIZED)
+  GTEST_SKIP() << "needs Linux per-thread fault counts, without a sanitizer";
+#else
+  // After warm-up a one-thread batch-32 ensemble forward reuses its
+  // thread's arena slots and the caller's maps, so it allocates no large
+  // buffer and glibc has no freed heap to trim and fault back in.
+  ParallelBudgetScope one_thread(1);
+  Rng rng(81);
+  const core::CamalEnsemble ensemble = ServedShapeEnsemble(&rng);
+  const nn::Tensor x = RandomTensor({32, 1, 128}, &rng);
+  std::vector<nn::Tensor> maps;
+  for (int i = 0; i < 3; ++i) {
+    ensemble.DetectProbabilityBatched(x, &maps);
+    ensemble.DetectProbabilityBatched(x);
+  }
+  std::vector<const float*> storage;
+  for (const nn::Tensor& m : maps) storage.push_back(m.data());
+  auto minor_faults = [] {
+    rusage usage{};
+    getrusage(RUSAGE_THREAD, &usage);
+    return usage.ru_minflt;
+  };
+  const long before = minor_faults();
+  for (int i = 0; i < 5; ++i) {
+    ensemble.DetectProbabilityBatched(x, &maps);
+    ensemble.DetectProbabilityBatched(x);
+  }
+  const long faults = minor_faults() - before;
+  ASSERT_EQ(maps.size(), storage.size());
+  for (size_t m = 0; m < maps.size(); ++m) {
+    EXPECT_EQ(maps[m].data(), storage[m]) << "member " << m;
+  }
+  EXPECT_EQ(faults, 0) << "minor faults over ten steady-state forwards";
+#endif
+}
+
+TEST(ResNetInferenceTest, SmallForwardGivesBackABigBatchsStorage) {
+#if !defined(__GLIBC__) || defined(CAMAL_TEST_SANITIZED)
+  GTEST_SKIP() << "needs glibc's malloc statistics, without a sanitizer";
+#else
+  // Arena slots and the caller's maps keep their storage only while a
+  // forward needs at least a quarter of it, so a one-window forward after
+  // a 32-window one gives back the three maps and this thread's two
+  // working slots: 5 x 512 KiB (32 windows x 32 channels x 128 floats).
+  ParallelBudgetScope one_thread(1);
+  Rng rng(82);
+  const core::CamalEnsemble ensemble = ServedShapeEnsemble(&rng);
+  auto bytes_in_use = [] {
+    const struct mallinfo2 info = mallinfo2();
+    return static_cast<int64_t>(info.uordblks + info.hblkhd);
+  };
+  std::vector<nn::Tensor> maps;
+  ensemble.DetectProbabilityBatched(RandomTensor({32, 1, 128}, &rng), &maps);
+  const int64_t big = bytes_in_use();
+  ensemble.DetectProbabilityBatched(RandomTensor({1, 1, 128}, &rng), &maps);
+  const int64_t small = bytes_in_use();
+  EXPECT_GT(big - small, int64_t{4} * 512 * 1024)
+      << "bytes in use after a 32-window forward: " << big
+      << ", after a 1-window forward: " << small;
+#endif
 }
 
 TEST(InceptionInferenceTest, ConstInferAgreesWithEvalForward) {
