@@ -200,16 +200,32 @@ nn::Tensor CamalEnsemble::DetectProbability(const nn::Tensor& inputs) {
   return MeanClassOneProbability(logits);
 }
 
+namespace internal {
+
+std::vector<size_t> CostOrder(const std::vector<int64_t>& cost) {
+  std::vector<size_t> order(cost.size());
+  for (size_t m = 0; m < order.size(); ++m) order[m] = m;
+  std::stable_sort(order.begin(), order.end(),
+                   [&cost](size_t a, size_t b) { return cost[a] > cost[b]; });
+  return order;
+}
+
+LaneItem LaneItemAt(const std::vector<size_t>& cost_order, int64_t windows,
+                    int64_t item) {
+  return LaneItem{cost_order[static_cast<size_t>(item / windows)],
+                  item % windows};
+}
+
+}  // namespace internal
+
 CamalEnsemble::CamalEnsemble(std::vector<EnsembleMember> members)
-    : members_(std::move(members)), cost_order_(members_.size()) {
+    : members_(std::move(members)) {
   std::vector<int64_t> cost;
   for (auto& member : members_) {
     member.model->SetTraining(false);
     cost.push_back(member.model->NumParameters());
   }
-  for (size_t m = 0; m < cost_order_.size(); ++m) cost_order_[m] = m;
-  std::stable_sort(cost_order_.begin(), cost_order_.end(),
-                   [&cost](size_t a, size_t b) { return cost[a] > cost[b]; });
+  cost_order_ = internal::CostOrder(cost);
 }
 
 nn::Tensor CamalEnsemble::DetectProbabilityBatched(
@@ -218,18 +234,35 @@ nn::Tensor CamalEnsemble::DetectProbabilityBatched(
   // Resizing members() after construction would leave cost_order_ stale.
   CAMAL_CHECK_EQ(cost_order_.size(), members_.size());
   const size_t n = members_.size();
+  const int64_t windows = inputs.dim(0);
   if (feature_maps != nullptr) feature_maps->resize(n);
-  const int lanes =
-      static_cast<int>(std::min<size_t>(n, 1 + std::max(0, spare)));
+  const auto maps = [&](size_t m) {
+    return feature_maps != nullptr ? &(*feature_maps)[m] : nullptr;
+  };
+  // Every member's outputs get their shapes before any lane writes rows.
   std::vector<nn::Tensor> logits(n);
-  std::atomic<size_t> next{0};
-  ParallelLanes(lanes, [&](int) {
-    for (size_t k; (k = next.fetch_add(1, std::memory_order_relaxed)) < n;) {
-      const size_t m = cost_order_[k];
-      logits[m] = members_[m].model->Infer(
-          inputs, feature_maps != nullptr ? &(*feature_maps)[m] : nullptr);
+  for (size_t m = 0; m < n; ++m) {
+    members_[m].model->ResizeOutputs(inputs, &logits[m], maps(m));
+  }
+  const int64_t items = static_cast<int64_t>(n) * windows;
+  const int cores = std::min(1 + std::max(0, spare), NumThreads());
+  const int lanes = static_cast<int>(std::min<int64_t>(items, cores));
+  if (lanes <= 1) {
+    for (size_t m : cost_order_) {
+      members_[m].model->InferRows(inputs, 0, windows, &logits[m], maps(m));
     }
-  });
+  } else {
+    std::atomic<int64_t> next{0};
+    ParallelLanes(lanes, [&](int) {
+      for (int64_t k = next++; k < items; k = next++) {
+        const internal::LaneItem item =
+            internal::LaneItemAt(cost_order_, windows, k);
+        members_[item.member].model->InferRows(
+            inputs, item.window, item.window + 1, &logits[item.member],
+            maps(item.member));
+      }
+    });
+  }
   return MeanClassOneProbability(logits);
 }
 

@@ -84,20 +84,24 @@ class CamalEnsemble {
   nn::Tensor DetectProbability(const nn::Tensor& inputs);
 
   /// Same probability through each member's const serving forward
-  /// (CamBackbone::Infer: GEMM convolutions, fused BatchNorm, no caches)
-  /// over the whole batch in one pass; \p feature_maps, when set, gets the
-  /// members' pre-GAP maps in member order. Reads the ensemble only, so
-  /// threads may share it. Agrees with DetectProbability to float rounding.
+  /// (CamBackbone::InferRows: GEMM convolutions, fused BatchNorm, no
+  /// caches); \p feature_maps, when set, gets the members' pre-GAP maps in
+  /// member order. Reads the ensemble only, so threads may share it.
+  /// Agrees with DetectProbability to float rounding.
   ///
-  /// The members are independent until their probabilities are averaged,
-  /// so \p spare > 0 runs them as min(members, 1 + spare) ParallelLanes:
-  /// each lane claims the costliest member not yet started, and its
-  /// forward runs with budget 1. Pass the number of cores known to be
-  /// idle (serve::Service passes its spare workers); the default 0 runs
-  /// the members one after another on the caller's budget. Each member
-  /// writes only its own logits and maps, and the probabilities are still
-  /// summed in member order, so the result is bitwise the same for every
-  /// \p spare.
+  /// Each member's forward of each window is independent until the
+  /// probabilities are averaged, so the pass runs min(members x windows,
+  /// 1 + \p spare, NumThreads()) lanes. With more than one, the lanes
+  /// (ParallelLanes, each forward with budget 1) claim (member, window)
+  /// items from one cursor in cost order: every window of the costliest
+  /// member first, then the next member's (internal::LaneItemAt), and
+  /// each item writes its window's rows of that member's logits and maps
+  /// in place. With one, each member runs the whole batch as one forward
+  /// on the caller's budget. Pass the number of cores known to be idle
+  /// (serve::Service passes its spare workers); the default 0 is one lane.
+  /// A window's rows do not depend on which rows share its forward, and
+  /// the probabilities are still summed in member order, so the result is
+  /// bitwise the same for every \p spare.
   nn::Tensor DetectProbabilityBatched(
       const nn::Tensor& inputs, std::vector<nn::Tensor>* feature_maps = nullptr,
       int spare = 0) const;
@@ -116,11 +120,31 @@ class CamalEnsemble {
   explicit CamalEnsemble(std::vector<EnsembleMember> members);
 
   std::vector<EnsembleMember> members_;
-  /// Member indices by descending parameter count (member order among
-  /// equals): a forward's conv FLOPs per position scale with it, so lanes
-  /// that start members in this order start the widest one first.
+  /// internal::CostOrder of the members' parameter counts.
   std::vector<size_t> cost_order_;
 };
+
+namespace internal {
+
+/// Member indices by descending cost, member order among equals. The
+/// ensemble passes parameter counts: a forward's conv FLOPs per position
+/// scale with them, so a lane pass in this order starts the widest
+/// member's windows first.
+std::vector<size_t> CostOrder(const std::vector<int64_t>& cost);
+
+/// A lane pass's work item: one member's forward of one window.
+struct LaneItem {
+  size_t member = 0;
+  int64_t window = 0;
+};
+
+/// Item \p item in [0, members x \p windows) of a lane pass: the
+/// \p windows windows of cost_order[0] in ascending order, then those of
+/// cost_order[1], and so on.
+LaneItem LaneItemAt(const std::vector<size_t>& cost_order, int64_t windows,
+                    int64_t item);
+
+}  // namespace internal
 
 }  // namespace camal::core
 

@@ -1,20 +1,11 @@
 #include "core/inception.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "nn/activations.h"
 
 namespace camal::core {
-
-const char* BackboneKindName(BackboneKind kind) {
-  switch (kind) {
-    case BackboneKind::kResNet:
-      return "resnet";
-    case BackboneKind::kInception:
-      return "inception";
-  }
-  return "unknown";
-}
 
 InceptionClassifier::InceptionClassifier(const InceptionConfig& config,
                                          Rng* rng)
@@ -144,15 +135,32 @@ nn::Tensor InceptionClassifier::Forward(const nn::Tensor& x) {
   return head_seq_->Forward(pooled);
 }
 
-nn::Tensor InceptionClassifier::Infer(const nn::Tensor& x,
-                                      nn::Tensor* feature_maps) const {
-  nn::Tensor h = x;
+void InceptionClassifier::InferRows(const nn::Tensor& x, int64_t begin,
+                                    int64_t end, nn::Tensor* logits,
+                                    nn::Tensor* feature_maps) const {
+  CAMAL_CHECK_EQ(x.ndim(), 3);
+  CAMAL_CHECK(0 <= begin && begin <= end && end <= x.dim(0));
+  if (begin == end) return;
+  // The layer-by-layer forward over a copy of the rows, whose results are
+  // then copied into the caller's rows.
+  const int64_t row = x.dim(1) * x.dim(2);
+  nn::Tensor rows =
+      nn::Tensor::Uninitialized({end - begin, x.dim(1), x.dim(2)});
+  std::copy_n(x.data() + begin * row, rows.numel(), rows.data());
+  nn::Tensor h = rows;
   for (const Block& block : blocks_) h = InferBlock(block, h);
-  nn::Tensor skip = shortcut_->ForwardInference(x);
-  nn::Tensor maps = final_relu_->ForwardInference(nn::Add(h, skip));
-  nn::Tensor logits = head_seq_->ForwardInference(gap_->ForwardInference(maps));
-  if (feature_maps != nullptr) *feature_maps = std::move(maps);
-  return logits;
+  nn::Tensor skip = shortcut_->ForwardInference(rows);
+  const nn::Tensor maps = final_relu_->ForwardInference(nn::Add(h, skip));
+  const nn::Tensor out =
+      head_seq_->ForwardInference(gap_->ForwardInference(maps));
+  const auto copy_rows = [&](const nn::Tensor& from, nn::Tensor* to) {
+    const int64_t size = from.numel() / from.dim(0);
+    CAMAL_CHECK(to->ndim() == from.ndim() && to->dim(0) == x.dim(0) &&
+                to->numel() == x.dim(0) * size);
+    std::copy_n(from.data(), from.numel(), to->data() + begin * size);
+  };
+  copy_rows(out, logits);
+  if (feature_maps != nullptr) copy_rows(maps, feature_maps);
 }
 
 nn::Tensor InceptionClassifier::Backward(const nn::Tensor& grad_output) {

@@ -42,9 +42,11 @@ class InceptionClassifier : public CamBackbone {
 
   nn::Tensor Forward(const nn::Tensor& x) override;
   nn::Tensor Backward(const nn::Tensor& grad_output) override;
-  /// Eval-mode forward through every layer's ForwardInference, no caches.
-  nn::Tensor Infer(const nn::Tensor& x,
-                   nn::Tensor* feature_maps) const override;
+  /// Eval-mode forward through every layer's ForwardInference, no caches,
+  /// over a copy of the rows; the results are copied into the caller's
+  /// rows.
+  void InferRows(const nn::Tensor& x, int64_t begin, int64_t end,
+                 nn::Tensor* logits, nn::Tensor* feature_maps) const override;
   void CollectParameters(std::vector<nn::Parameter*>* out) override;
   void CollectBuffers(std::vector<nn::Tensor*>* out) override;
   void SetTraining(bool training) override;

@@ -53,9 +53,10 @@ class CamalLocalizer {
                           LocalizerOptions options = {});
 
   /// Runs the full pipeline on (N, 1, L) scaled inputs. \p spare idle
-  /// cores let the ensemble's members run as parallel lanes (see
-  /// CamalEnsemble::DetectProbabilityBatched); the result is bitwise the
-  /// same for every value, and the default 0 runs them in turn.
+  /// cores let the ensemble's (member, window) forwards run as parallel
+  /// lanes (see CamalEnsemble::DetectProbabilityBatched); the result is
+  /// bitwise the same for every value, and the default 0 runs each member
+  /// over the whole batch in turn.
   LocalizationResult Localize(const nn::Tensor& inputs, int spare = 0);
 
  private:

@@ -39,7 +39,7 @@ int FreeSlot(std::initializer_list<int> live) {
 }
 
 // The activations of the forwards one thread runs, for every ResNet it
-// runs (a slot Infer maps to the caller's maps tensor stays empty here).
+// runs (a slot InferRows maps to the caller's maps rows stays empty here).
 // Slots keep their storage from forward to forward under Tensor::Resize's
 // rule: kept while a forward needs at least a quarter of it, given back
 // below that, so a thread that once ran a 32-window batch does not hold
@@ -47,6 +47,13 @@ int FreeSlot(std::initializer_list<int> live) {
 struct Arena {
   nn::Tensor slots[kArenaSlots];
   std::vector<float> scale, shift;  // the running step's BatchNorm affine
+  std::vector<float> pooled;        // GAP rows, the head's input
+};
+
+// A plan value: InferRows' rows of (channels, length) activations at data.
+struct Value {
+  const float* data = nullptr;
+  int64_t channels = 0, length = 0;
 };
 
 }  // namespace
@@ -110,46 +117,72 @@ nn::Tensor ResNetClassifier::Forward(const nn::Tensor& x) {
   return head_seq_->Forward(pooled);
 }
 
-nn::Tensor ResNetClassifier::Infer(const nn::Tensor& x,
-                                   nn::Tensor* feature_maps) const {
+void ResNetClassifier::InferRows(const nn::Tensor& x, int64_t begin,
+                                 int64_t end, nn::Tensor* logits,
+                                 nn::Tensor* feature_maps) const {
   // Eval-mode BatchNorm only: a training-mode forward would have to
   // update the running statistics, which a const forward must not.
-  CAMAL_CHECK_MSG(!training(), "ResNetClassifier::Infer needs eval mode");
+  CAMAL_CHECK_MSG(!training(), "ResNetClassifier::InferRows needs eval mode");
   CAMAL_CHECK_EQ(x.ndim(), 3);
   CAMAL_CHECK_EQ(x.dim(1), config_.input_channels);
+  CAMAL_CHECK(0 <= begin && begin <= end && end <= x.dim(0));
+  const int64_t n = x.dim(0), rows = end - begin;
+  const int64_t classes = config_.num_classes;
+  CAMAL_CHECK(logits->ndim() == 2 && logits->dim(0) == n &&
+              logits->dim(1) == classes);
+  CAMAL_CHECK(feature_maps == nullptr ||
+              (feature_maps->ndim() == 3 && feature_maps->dim(0) == n));
+  if (rows == 0) return;
   thread_local Arena arena;
-  const int64_t n = x.dim(0);
-  // The last step's slot is the caller's maps tensor when there is one:
+  // The last step's slot is the caller's maps rows when there are maps:
   // the maps are that slot's last value, and its earlier values are dead
-  // before the last step writes, so the arena holds one buffer less.
+  // before the last step writes and no wider than the maps, so the arena
+  // holds one buffer less.
   const int maps_slot = plan_.back().out;
-  auto slot = [&](int s) -> nn::Tensor& {
-    return s == maps_slot && feature_maps != nullptr ? *feature_maps
-                                                     : arena.slots[s];
-  };
-  auto value = [&](int s) -> const nn::Tensor& {
-    return s == kInput ? x : slot(s);
-  };
+  const int64_t maps_row =
+      feature_maps != nullptr ? feature_maps->numel() / n : 0;
+  Value values[kArenaSlots];
+  const Value input{x.data() + begin * x.dim(1) * x.dim(2), x.dim(1), x.dim(2)};
+  auto value = [&](int s) { return s == kInput ? input : values[s]; };
   for (const PlanStep& step : plan_) {
-    const nn::Tensor& in = value(step.in);
-    nn::Tensor& out = slot(step.out);
-    out.Resize({n, step.conv->options().out_channels,
-                step.conv->OutputLength(in.dim(2))});
+    const Value in = value(step.in);
+    const int64_t channels = step.conv->options().out_channels;
+    const int64_t length = step.conv->OutputLength(in.length);
+    float* out;
+    if (step.out == maps_slot && feature_maps != nullptr) {
+      CAMAL_CHECK_LE(channels * length, maps_row);
+      out = feature_maps->data() + begin * maps_row;
+    } else {
+      nn::Tensor& slot = arena.slots[step.out];
+      slot.Resize({rows, channels, length});
+      out = slot.data();
+    }
     const float* residual = nullptr;
     if (step.residual != kNoResidual) {
-      const nn::Tensor& r = value(step.residual);
-      CAMAL_CHECK_MSG(r.SameShape(out),
+      const Value r = value(step.residual);
+      CAMAL_CHECK_MSG(r.channels == channels && r.length == length,
                       "residual body/shortcut shape mismatch");
-      residual = r.data();
+      residual = r.data;
     }
     // Per forward, not per plan: training scores its epochs through this
     // path (EvaluateClassifierLoss) while the statistics still move.
     step.bn->FusedAffine(&arena.scale, &arena.shift);
-    step.conv->ForwardInferenceInto(in.data(), n, in.dim(2),
+    step.conv->ForwardInferenceInto(in.data, rows, in.length,
                                     arena.scale.data(), arena.shift.data(),
-                                    step.relu, residual, out.data());
+                                    step.relu, residual, out);
+    values[step.out] = Value{out, channels, length};
   }
-  return head_seq_->ForwardInference(gap_->ForwardInference(slot(maps_slot)));
+  const Value maps = values[maps_slot];
+  if (feature_maps != nullptr) {
+    CAMAL_CHECK_EQ(feature_maps->dim(1), maps.channels);
+    CAMAL_CHECK_EQ(feature_maps->dim(2), maps.length);
+  }
+  // GAP, then the head straight into the logits rows.
+  arena.pooled.resize(static_cast<size_t>(rows * maps.channels));
+  nn::GlobalAvgPoolRows(maps.data, rows * maps.channels, maps.length,
+                        arena.pooled.data());
+  head_->ForwardInferenceInto(arena.pooled.data(), rows,
+                              logits->data() + begin * classes);
 }
 
 nn::Tensor ResNetClassifier::ForwardInference(const nn::Tensor& x) {

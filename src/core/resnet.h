@@ -45,11 +45,11 @@ class ResNetClassifier : public CamBackbone {
 
   /// Batched inference path: the plan compiled at construction, whose
   /// fused conv steps run over this thread's activation arena (see
-  /// resnet.cc). \p feature_maps, when set, serves as the last step's
-  /// slot and is reused in place (Tensor::Resize); it must not be \p x.
-  /// Needs eval mode.
-  nn::Tensor Infer(const nn::Tensor& x,
-                   nn::Tensor* feature_maps) const override;
+  /// resnet.cc). The first step reads x's rows and the last writes the
+  /// maps rows in place (\p feature_maps serves as its slot; it must not
+  /// be \p x); GAP and the head write the logits rows. Needs eval mode.
+  void InferRows(const nn::Tensor& x, int64_t begin, int64_t end,
+                 nn::Tensor* logits, nn::Tensor* feature_maps) const override;
   /// Infer into feature_maps(), so CAM extraction works after it.
   nn::Tensor ForwardInference(const nn::Tensor& x) override;
   void CollectParameters(std::vector<nn::Parameter*>* out) override;

@@ -23,34 +23,29 @@ Linear::Linear(int64_t in_features, int64_t out_features, bool bias, Rng* rng)
 }
 
 Tensor Linear::Forward(const Tensor& x) {
-  CAMAL_CHECK_EQ(x.ndim(), 2);
-  CAMAL_CHECK_EQ(x.dim(1), in_features_);
   input_ = x;
-  Tensor y = MatMulTransposeB(x, weight_.value);  // (N, F_out)
-  if (has_bias_) {
-    const int64_t n = y.dim(0);
-    for (int64_t i = 0; i < n; ++i) {
-      for (int64_t j = 0; j < out_features_; ++j) {
-        y.at2(i, j) += bias_.value.at(j);
-      }
-    }
-  }
-  return y;
+  return ForwardInference(x);
 }
 
 Tensor Linear::ForwardInference(const Tensor& x) {
   CAMAL_CHECK_EQ(x.ndim(), 2);
   CAMAL_CHECK_EQ(x.dim(1), in_features_);
-  Tensor y = MatMulTransposeB(x, weight_.value);  // (N, F_out)
-  if (has_bias_) {
-    const int64_t n = y.dim(0);
-    for (int64_t i = 0; i < n; ++i) {
-      for (int64_t j = 0; j < out_features_; ++j) {
-        y.at2(i, j) += bias_.value.at(j);
-      }
+  Tensor y = Tensor::Uninitialized({x.dim(0), out_features_});
+  ForwardInferenceInto(x.data(), x.dim(0), y.data());
+  return y;
+}
+
+void Linear::ForwardInferenceInto(const float* x, int64_t n, float* y) const {
+  // y = x W^T + b, each output a dot product summed in input order.
+  for (int64_t i = 0; i < n; ++i) {
+    const float* row = x + i * in_features_;
+    for (int64_t j = 0; j < out_features_; ++j) {
+      const float* w = weight_.value.data() + j * in_features_;
+      float acc = 0.0f;
+      for (int64_t p = 0; p < in_features_; ++p) acc += row[p] * w[p];
+      y[i * out_features_ + j] = has_bias_ ? acc + bias_.value.at(j) : acc;
     }
   }
-  return y;
 }
 
 Tensor Linear::Backward(const Tensor& grad_output) {

@@ -21,6 +21,10 @@ class Linear : public Module {
   /// Forward without caching the input for Backward.
   Tensor ForwardInference(const Tensor& x) override;
 
+  /// The inference kernel: the \p n rows of \p x (n, F_in) into the \p n
+  /// rows of \p y (n, F_out). Each row's value depends on that row only.
+  void ForwardInferenceInto(const float* x, int64_t n, float* y) const;
+
   void CollectParameters(std::vector<Parameter*>* out) override;
 
   int64_t in_features() const { return in_features_; }

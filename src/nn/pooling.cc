@@ -165,31 +165,32 @@ Tensor GlobalAvgPool1d::Forward(const Tensor& x) {
   return ForwardInference(x);
 }
 
-Tensor GlobalAvgPool1d::ForwardInference(const Tensor& x) {
-  CAMAL_CHECK_EQ(x.ndim(), 3);
-  const int64_t rows = x.dim(0) * x.dim(1), l = x.dim(2);
-  Tensor y = Tensor::Uninitialized({x.dim(0), x.dim(1)});
-  const float inv_l = 1.0f / static_cast<float>(l);
-  const float* in = x.data();
-  float* out = y.data();
+void GlobalAvgPoolRows(const float* x, int64_t rows, int64_t length, float* y) {
+  const float inv_l = 1.0f / static_cast<float>(length);
   // Eight rows at a time: eight independent add chains instead of one
   // latency-bound chain. Each row is still summed left to right from
   // zero, so the bits equal a row-at-a-time loop's.
   int64_t r0 = 0;
   for (; r0 + 8 <= rows; r0 += 8) {
-    const float* block = in + r0 * l;
+    const float* block = x + r0 * length;
     float acc[8] = {};
-    for (int64_t t = 0; t < l; ++t) {
-      for (int r = 0; r < 8; ++r) acc[r] += block[r * l + t];
+    for (int64_t t = 0; t < length; ++t) {
+      for (int r = 0; r < 8; ++r) acc[r] += block[r * length + t];
     }
-    for (int r = 0; r < 8; ++r) out[r0 + r] = acc[r] * inv_l;
+    for (int r = 0; r < 8; ++r) y[r0 + r] = acc[r] * inv_l;
   }
   for (; r0 < rows; ++r0) {
-    const float* row = in + r0 * l;
+    const float* row = x + r0 * length;
     float acc = 0.0f;
-    for (int64_t t = 0; t < l; ++t) acc += row[t];
-    out[r0] = acc * inv_l;
+    for (int64_t t = 0; t < length; ++t) acc += row[t];
+    y[r0] = acc * inv_l;
   }
+}
+
+Tensor GlobalAvgPool1d::ForwardInference(const Tensor& x) {
+  CAMAL_CHECK_EQ(x.ndim(), 3);
+  Tensor y = Tensor::Uninitialized({x.dim(0), x.dim(1)});
+  GlobalAvgPoolRows(x.data(), x.dim(0) * x.dim(1), x.dim(2), y.data());
   return y;
 }
 

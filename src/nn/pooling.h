@@ -57,6 +57,12 @@ class AvgPool1d : public Module {
   std::vector<int64_t> input_shape_;
 };
 
+/// Global average pooling's kernel: y[r] is the mean of row r of \p x,
+/// \p rows rows of \p length floats each (an (N, C, L) tensor is N * C
+/// rows). Each row is summed left to right from zero, so a row's value
+/// does not depend on which rows share the call.
+void GlobalAvgPoolRows(const float* x, int64_t rows, int64_t length, float* y);
+
 /// Global average pooling (N, C, L) -> (N, C); the layer between the last
 /// conv block and the linear head that makes CAM extraction possible
 /// (Definition II.1 in the paper).

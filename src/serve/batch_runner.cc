@@ -206,7 +206,7 @@ std::vector<ScanResult> BatchRunner::StitchPass(
   // tail-sized appends do not mean nearly empty batches.
   double seconds = 0.0;
   if (!refs.empty()) {
-    // Only a one-batch pass lends its members to spare cores (ScanMany).
+    // Only a one-batch pass lends its forwards to spare cores (ScanMany).
     if (static_cast<int64_t>(refs.size()) > options_.stream.batch_size) {
       spare = 0;
     }

@@ -137,11 +137,15 @@ class BatchRunner {
   ///
   /// \p spare is how many cores the caller knows to be idle
   /// (serve::Service passes its spare workers). When every window fits
-  /// one batch, that batch's ensemble members run as parallel lanes on
-  /// up to that many of them (CamalEnsemble::DetectProbabilityBatched);
-  /// a pass of several batches keeps its caller busy anyway, and fanning
-  /// it out would multiply its live activations, so it stays on the
-  /// caller. Results are bitwise the same for every value.
+  /// one batch, that batch's (member, window) forwards run as parallel
+  /// lanes on up to that many of them
+  /// (CamalEnsemble::DetectProbabilityBatched). A pass of several batches
+  /// stays on the caller: \p spare counts the cores idle when its group
+  /// was popped, and a long pass would keep them after new requests wake
+  /// the workers that own them, while its full batches cost less per
+  /// window as whole-batch forwards than as one-window items. (Lanes do
+  /// not multiply live activations: a lane's arena holds one window's.)
+  /// Results are bitwise the same for every value.
   std::vector<ScanResult> ScanMany(const std::vector<data::SeriesView>& series,
                                    int spare = 0);
 
@@ -169,8 +173,9 @@ class BatchRunner {
   /// distinct, and no delta may view its own state's committed series.
   /// results[i] is the changed suffix AppendScan(states[i], deltas[i])
   /// would return, bit for bit. Not thread-safe. \p spare as in ScanMany:
-  /// a session's steady appends (one window each) fit one batch and may
-  /// fan out; its multi-batch prefill stays on the caller.
+  /// a session's steady appends (one window each, so one item per member)
+  /// fit one batch and may fan out; its multi-batch prefill stays on the
+  /// caller.
   std::vector<ScanResult> AppendScanMany(
       const std::vector<SessionScanState*>& states,
       const std::vector<data::SeriesView>& deltas, int spare = 0);

@@ -46,10 +46,12 @@ struct ServiceOptions {
   /// appliance's one registered ensemble: only the runners' scan scratch
   /// scales with workers x appliances, never the model weights. Workers
   /// left idle with nothing queued for them are spare: a worker whose
-  /// pass fits one batch runs that batch's ensemble members as parallel
-  /// lanes on up to that many of the process pool's threads (see
-  /// RequestQueue::PopGroup), so one request can use the cores a light
-  /// load leaves idle. Results are bitwise the same either way.
+  /// pass fits one batch runs that batch's (member, window) forwards as
+  /// parallel lanes on up to that many of the process pool's threads
+  /// (see RequestQueue::PopGroup and
+  /// CamalEnsemble::DetectProbabilityBatched), so one request can use the
+  /// cores a light load leaves idle. Results are bitwise the same either
+  /// way.
   int workers = 0;
   /// Admission-queue bound: a Submit that finds this many requests already
   /// waiting is rejected with kFailedPrecondition (backpressure). <= 0

@@ -21,6 +21,7 @@
 #include "common/rng.h"
 #include "core/ensemble.h"
 #include "core/inception.h"
+#include "core/localizer.h"
 #include "core/resnet.h"
 #include "nn/activations.h"
 #include "nn/batchnorm1d.h"
@@ -869,6 +870,78 @@ TEST(ResNetInferenceTest, BatchedInferEqualsEachWindowsOwnBitwise) {
   }
 }
 
+// Row r of \p got must hold \p want's row r bit for bit when r is in
+// [b, e), and the NaN sentinel it was filled with everywhere else.
+void ExpectRowsOf(const nn::Tensor& got, const nn::Tensor& want, int64_t b,
+                  int64_t e, float sentinel) {
+  ASSERT_TRUE(got.SameShape(want))
+      << got.ShapeString() << " vs " << want.ShapeString();
+  const int64_t row = want.numel() / want.dim(0);
+  for (int64_t r = 0; r < want.dim(0); ++r) {
+    const float* g = got.data() + r * row;
+    if (r >= b && r < e) {
+      EXPECT_EQ(std::memcmp(g, want.data() + r * row,
+                            sizeof(float) * static_cast<size_t>(row)),
+                0)
+          << "row " << r;
+      continue;
+    }
+    int64_t written = 0;
+    for (int64_t i = 0; i < row; ++i) written += Bits(g[i]) != Bits(sentinel);
+    EXPECT_EQ(written, 0) << "row " << r << " lies outside the range";
+  }
+}
+
+// InferRows over every row range [b, e) of a batch of five: those rows
+// of the logits and maps must equal the whole batch's forward bit for
+// bit, with maps and without, and no other row may be written.
+void ExpectEveryRowRangeMatches(const core::CamBackbone& model,
+                                int64_t length, Rng* rng) {
+  constexpr int64_t kBatch = 5;
+  const float sentinel = std::numeric_limits<float>::quiet_NaN();
+  const nn::Tensor x = RandomTensor({kBatch, 1, length}, rng);
+  nn::Tensor want_maps;
+  const nn::Tensor want = model.Infer(x, &want_maps);
+  for (int64_t b = 0; b < kBatch; ++b) {
+    for (int64_t e = b + 1; e <= kBatch; ++e) {
+      SCOPED_TRACE(testing::Message() << "rows [" << b << ", " << e << ")");
+      nn::Tensor logits = nn::Tensor::Full(want.shape(), sentinel);
+      nn::Tensor maps = nn::Tensor::Full(want_maps.shape(), sentinel);
+      model.InferRows(x, b, e, &logits, &maps);
+      ExpectRowsOf(logits, want, b, e, sentinel);
+      ExpectRowsOf(maps, want_maps, b, e, sentinel);
+      logits.Fill(sentinel);
+      model.InferRows(x, b, e, &logits, nullptr);
+      ExpectRowsOf(logits, want, b, e, sentinel);
+    }
+  }
+}
+
+TEST(BackboneRowsTest, EveryRowRangeEqualsTheBatchedForwardsRows) {
+  // InferRows is the one serving entry, and lanes fill disjoint rows of
+  // shared tensors through it. L = 37 leaves partial conv tiles; L = 128
+  // is the served window.
+  Rng rng(60);
+  for (const auto& [filters, length] :
+       {std::pair<int64_t, int64_t>{8, 37}, {16, 128}}) {
+    SCOPED_TRACE("resnet f=" + std::to_string(filters));
+    core::ResNetConfig config;
+    config.base_filters = filters;
+    config.kernel_size = 9;
+    core::ResNetClassifier model(config, &rng);
+    WarmBatchNorm(&model, length, &rng);
+    ExpectEveryRowRangeMatches(model, length, &rng);
+  }
+  SCOPED_TRACE("inception");
+  core::InceptionConfig config;
+  config.kernel_size = 5;
+  config.base_filters = 4;
+  config.depth = 2;
+  core::InceptionClassifier model(config, &rng);
+  WarmBatchNorm(&model, 37, &rng);
+  ExpectEveryRowRangeMatches(model, 37, &rng);
+}
+
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define CAMAL_TEST_SANITIZED 1
 #elif defined(__has_feature)
@@ -901,34 +974,42 @@ TEST(ResNetInferenceTest, SteadyStateForwardsReuseStorageAndTakeNoFaults) {
 #else
   // After warm-up a one-thread batch-32 ensemble forward reuses its
   // thread's arena slots and the caller's maps, so it allocates no large
-  // buffer and glibc has no freed heap to trim and fault back in.
+  // buffer and glibc has no freed heap to trim and fault back in. A lane
+  // pass (spare 3) sizes the members' maps and logits once, before its
+  // lanes start, and each lane runs one-window items over its own arena,
+  // so repeated lane passes take no fault on the calling thread (a
+  // serving worker, budget 1) either. The maps are 512 KiB each: storage
+  // given back on a pass would be unmapped and faulted in again.
   ParallelBudgetScope one_thread(1);
   Rng rng(81);
   const core::CamalEnsemble ensemble = ServedShapeEnsemble(&rng);
   const nn::Tensor x = RandomTensor({32, 1, 128}, &rng);
-  std::vector<nn::Tensor> maps;
-  for (int i = 0; i < 3; ++i) {
-    ensemble.DetectProbabilityBatched(x, &maps);
-    ensemble.DetectProbabilityBatched(x);
-  }
-  std::vector<const float*> storage;
-  for (const nn::Tensor& m : maps) storage.push_back(m.data());
   auto minor_faults = [] {
     rusage usage{};
     getrusage(RUSAGE_THREAD, &usage);
     return usage.ru_minflt;
   };
-  const long before = minor_faults();
-  for (int i = 0; i < 5; ++i) {
-    ensemble.DetectProbabilityBatched(x, &maps);
-    ensemble.DetectProbabilityBatched(x);
+  for (int spare : {0, 3}) {
+    SCOPED_TRACE("spare " + std::to_string(spare));
+    std::vector<nn::Tensor> maps;
+    for (int i = 0; i < 5; ++i) {
+      ensemble.DetectProbabilityBatched(x, &maps, spare);
+      ensemble.DetectProbabilityBatched(x, nullptr, spare);
+    }
+    std::vector<const float*> storage;
+    for (const nn::Tensor& m : maps) storage.push_back(m.data());
+    const long before = minor_faults();
+    for (int i = 0; i < 5; ++i) {
+      ensemble.DetectProbabilityBatched(x, &maps, spare);
+      ensemble.DetectProbabilityBatched(x, nullptr, spare);
+    }
+    const long faults = minor_faults() - before;
+    ASSERT_EQ(maps.size(), storage.size());
+    for (size_t m = 0; m < maps.size(); ++m) {
+      EXPECT_EQ(maps[m].data(), storage[m]) << "member " << m;
+    }
+    EXPECT_EQ(faults, 0) << "minor faults over ten steady-state passes";
   }
-  const long faults = minor_faults() - before;
-  ASSERT_EQ(maps.size(), storage.size());
-  for (size_t m = 0; m < maps.size(); ++m) {
-    EXPECT_EQ(maps[m].data(), storage[m]) << "member " << m;
-  }
-  EXPECT_EQ(faults, 0) << "minor faults over ten steady-state forwards";
 #endif
 }
 
@@ -1024,12 +1105,15 @@ TEST(EnsembleInferenceTest, BatchedProbabilityMatchesTrainingPath) {
 }
 
 TEST(EnsembleInferenceTest, MemberLanesKeepTheBits) {
-  // With spare cores the members run as parallel lanes, costliest first.
-  // Each lane writes only its member's logits and maps, and the mean is
-  // still summed in member order, so every spare count (0 included) must
-  // reproduce the members' own forwards, averaged in member order, byte
-  // for byte, maps included. The costliest member (k = 15) is registered
-  // in the middle, so lanes start members out of member order.
+  // With spare cores the pass runs (member, window) items as parallel
+  // lanes, the costliest member's windows first. Each item writes only its
+  // window's rows of its member's logits and maps, and the mean is still
+  // summed in member order, so every spare count (0 included) must
+  // reproduce the members' own whole-batch forwards, averaged in member
+  // order, byte for byte, maps included. The costliest member (k = 15) is
+  // registered in the middle, so lanes start members out of member order,
+  // and the batches give item counts (3 to 96) the lane count does not
+  // always divide.
   constexpr int64_t kLength = 128;
   for (const bool resnet : {true, false}) {
     SCOPED_TRACE(resnet ? "resnet" : "inception");
@@ -1056,7 +1140,7 @@ TEST(EnsembleInferenceTest, MemberLanesKeepTheBits) {
     }
     const core::CamalEnsemble ensemble =
         core::CamalEnsemble::FromMembers(std::move(members));
-    for (int64_t batch : {1, 4, 32}) {
+    for (int64_t batch : {1, 2, 3, 5, 7, 32}) {
       SCOPED_TRACE("batch " + std::to_string(batch));
       const nn::Tensor x = RandomTensor({batch, 1, kLength}, &rng);
       // The oracle: each member's forward in member order, then the mean
@@ -1081,6 +1165,73 @@ TEST(EnsembleInferenceTest, MemberLanesKeepTheBits) {
         ExpectSameBits(ensemble.DetectProbabilityBatched(x, nullptr, spare),
                        want);
       }
+    }
+  }
+}
+
+TEST(EnsembleInferenceTest, LaneItemsTakeTheCostliestMembersWindowsFirst) {
+  // Three members, the costliest registered in the middle: a lane pass
+  // must hand out every window of the costliest member first, in
+  // ascending order, then the next member's, and each (member, window)
+  // item exactly once.
+  const std::vector<size_t> order = core::internal::CostOrder({27, 43, 35});
+  ASSERT_EQ(order, (std::vector<size_t>{1, 2, 0}));
+  EXPECT_EQ(core::internal::CostOrder({5, 9, 5}),
+            (std::vector<size_t>{1, 0, 2}))
+      << "equal costs keep member order";
+  const size_t by_cost[] = {1, 2, 0};
+  for (int64_t windows = 1; windows <= 7; ++windows) {
+    SCOPED_TRACE("windows " + std::to_string(windows));
+    const auto w = static_cast<size_t>(windows);
+    std::vector<int> seen(3 * w, 0);
+    for (int64_t k = 0; k < 3 * windows; ++k) {
+      const core::internal::LaneItem item =
+          core::internal::LaneItemAt(order, windows, k);
+      EXPECT_EQ(item.member, by_cost[k / windows]) << "item " << k;
+      EXPECT_EQ(item.window, k % windows) << "item " << k;
+      ASSERT_LT(item.member, 3u);
+      ASSERT_TRUE(item.window >= 0 && item.window < windows);
+      ++seen[item.member * w + static_cast<size_t>(item.window)];
+    }
+    for (size_t i = 0; i < seen.size(); ++i) {
+      EXPECT_EQ(seen[i], 1) << "member " << i / w << " window " << i % w;
+    }
+  }
+}
+
+TEST(EnsembleInferenceTest, LocalizeKeepsTheBytesForEverySpare) {
+  // The localizer forms its CAMs from the maps rows the lanes write, so
+  // its whole result must not move with spare. Threshold 0 localizes
+  // every window, so the status depends on every member's maps.
+  Rng rng(85);
+  std::vector<core::EnsembleMember> members;
+  for (int64_t k : {5, 15, 9}) {
+    core::ResNetConfig config;
+    config.base_filters = 8;
+    config.kernel_size = k;
+    core::EnsembleMember member;
+    member.model = std::make_unique<core::ResNetClassifier>(config, &rng);
+    WarmBatchNorm(member.model.get(), 64, &rng);
+    member.kernel_size = k;
+    members.push_back(std::move(member));
+  }
+  const core::CamalEnsemble ensemble =
+      core::CamalEnsemble::FromMembers(std::move(members));
+  core::LocalizerOptions options;
+  options.detection_threshold = 0.0f;
+  core::CamalLocalizer reference(&ensemble, options);
+  core::CamalLocalizer localizer(&ensemble, options);
+  for (int64_t batch : {1, 3, 7}) {
+    SCOPED_TRACE("batch " + std::to_string(batch));
+    const nn::Tensor x = RandomTensor({batch, 1, 64}, &rng);
+    const core::LocalizationResult want = reference.Localize(x);
+    EXPECT_GT(want.status.Sum(), 0.0) << "no timestamp localized";
+    for (int spare = 0; spare <= 3; ++spare) {
+      SCOPED_TRACE("spare " + std::to_string(spare));
+      const core::LocalizationResult got = localizer.Localize(x, spare);
+      ExpectSameBits(got.probabilities, want.probabilities);
+      ExpectSameBits(got.ensemble_cam, want.ensemble_cam);
+      ExpectSameBits(got.status, want.status);
     }
   }
 }

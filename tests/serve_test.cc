@@ -2220,6 +2220,112 @@ TEST(ServiceTest, SpareWorkersRunMemberLanesBitwise) {
   service.Shutdown();
 }
 
+// Byte equality of two tensors (NaN included).
+void ExpectSameBytes(const nn::Tensor& got, const nn::Tensor& want,
+                     const std::string& label) {
+  ASSERT_TRUE(got.SameShape(want)) << label;
+  EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                        sizeof(float) * static_cast<size_t>(want.numel())),
+            0)
+      << label;
+}
+
+// Byte equality of two scan results, positions included.
+void ExpectSameBytes(const serve::ScanResult& got,
+                     const serve::ScanResult& want, const std::string& label) {
+  EXPECT_EQ(got.from, want.from) << label;
+  EXPECT_EQ(got.windows, want.windows) << label;
+  ExpectSameBytes(got.detection, want.detection, label + " detection");
+  ExpectSameBytes(got.status, want.status, label + " status");
+  ExpectSameBytes(got.power, want.power, label + " power");
+}
+
+TEST(BatchRunnerTest, SpareLanesKeepScanBytesOnHostileSeries) {
+  // Scans must not move with spare, whatever the readings: seeded series
+  // with NaN runs, +-Inf, 1e38 and negative readings, one window short,
+  // exact, one reading over, and 2-7 windows (with and without a tail).
+  // Batch 8 makes every lone pass one batch, so spare 1-3 really fans its
+  // (member, window) items out; one-shot, coalesced and session passes
+  // must all return spare 0's bytes, for ResNet and Inception members.
+  constexpr int64_t kWindow = 16, kStride = 8;
+  const serve::BatchRunnerOptions options =
+      SmallRunner(kWindow, kStride, 8, 600.0f);
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  Rng rng(93);
+  const auto hostile = [&rng](int64_t len) {
+    std::vector<float> series(static_cast<size_t>(len));
+    for (auto& v : series) v = static_cast<float>(rng.Uniform(-200.0, 3000.0));
+    const int64_t run = rng.UniformInt(1, 6);
+    const int64_t at = rng.UniformInt(0, len - 1);
+    for (int64_t t = at; t < std::min(len, at + run); ++t) {
+      series[static_cast<size_t>(t)] = std::nanf("");
+    }
+    for (float special : {kInf, -kInf, 1e38f}) {
+      series[static_cast<size_t>(rng.UniformInt(0, len - 1))] = special;
+    }
+    return series;
+  };
+  std::vector<std::vector<float>> all;
+  for (int64_t len : {kWindow - 1, kWindow, kWindow + 1}) {
+    all.push_back(hostile(len));
+  }
+  for (int64_t windows = 2; windows <= 7; ++windows) {
+    const int64_t exact = kWindow + (windows - 1) * kStride;
+    all.push_back(hostile(exact));
+    all.push_back(hostile(exact + 3));  // a tail window after the grid
+  }
+  for (const bool resnet : {true, false}) {
+    SCOPED_TRACE(resnet ? "resnet" : "inception");
+    const core::CamalEnsemble ensemble = ThreeMemberEnsemble(resnet, 94);
+    serve::BatchRunner runner(&ensemble, options);
+    for (size_t i = 0; i < all.size(); ++i) {
+      const data::SeriesView lone(all[i]);
+      const data::SeriesView pair[] = {lone, all[i / 2]};
+      const std::string label = "series " + std::to_string(i);
+      const serve::ScanResult want = runner.ScanMany({lone}, 0).front();
+      const std::vector<serve::ScanResult> want_pair =
+          runner.ScanMany({pair[0], pair[1]}, 0);
+      // ResNet members keep detection and power finite whatever the
+      // readings. Inception members' detection is NaN on windows over a
+      // +-Inf reading, so for them only the bytes are compared.
+      for (int64_t t = 0; resnet && t < want.detection.numel(); ++t) {
+        ASSERT_TRUE(std::isfinite(want.detection.at(t))) << label;
+        ASSERT_TRUE(std::isfinite(want.power.at(t))) << label;
+      }
+      for (int spare = 1; spare <= 3; ++spare) {
+        const std::string with = label + " spare " + std::to_string(spare);
+        ExpectSameBytes(runner.ScanMany({lone}, spare).front(), want, with);
+        const std::vector<serve::ScanResult> got_pair =
+            runner.ScanMany({pair[0], pair[1]}, spare);
+        ExpectSameBytes(got_pair[0], want_pair[0], with + " coalesced");
+        ExpectSameBytes(got_pair[1], want_pair[1], with + " coalesced");
+      }
+    }
+    // Two sessions per spare value take the same random chunks, appended
+    // together, and must return spare 0's suffixes byte for byte.
+    serve::SessionScanState states[4][2];
+    for (int step = 0; step < 12; ++step) {
+      const std::vector<float> a = hostile(rng.UniformInt(1, 3 * kWindow));
+      const std::vector<float> b = hostile(rng.UniformInt(1, kWindow));
+      const std::vector<data::SeriesView> deltas = {a, b};
+      SCOPED_TRACE("step " + std::to_string(step));
+      std::vector<serve::ScanResult> want;
+      for (int spare = 0; spare <= 3; ++spare) {
+        SCOPED_TRACE("spare " + std::to_string(spare));
+        serve::SessionScanState* s = states[spare];
+        const std::vector<serve::ScanResult> got =
+            runner.AppendScanMany({&s[0], &s[1]}, deltas, spare);
+        if (spare == 0) {
+          want = got;
+          continue;
+        }
+        ExpectSameBytes(got[0], want[0], "session a");
+        ExpectSameBytes(got[1], want[1], "session b");
+      }
+    }
+  }
+}
+
 TEST(ServiceTest, SessionAppendsMatchFromScratchSubmitsBitwise) {
   // The tentpole gate at the service level: appends served through the
   // queue/worker/coalescing machinery, their suffixes overlaid, must
