@@ -21,21 +21,25 @@ const char* BackboneKindName(BackboneKind kind);
 class CamBackbone : public nn::Module {
  public:
   /// The serving forward: rows [\p begin, \p end) of x (N, C_in, L) into
-  /// the same rows of \p logits (N, num_classes) and, unless it is null,
-  /// of \p feature_maps, the pre-GAP maps (N, K, L). The caller sizes both
+  /// the same rows of \p logits (N, num_classes) and of each output that
+  /// is not null: \p feature_maps, the pre-GAP maps (N, K, L), and \p cam,
+  /// the class-1 CAM (N, L) formed from the maps this call just produced
+  /// (core/cam.h's CamRows, so a row equals ComputeCamInto's bit for
+  /// bit). A caller that wants CAMs needs no maps: they stay in the
+  /// forward's own activations. The caller sizes every output
   /// (ResizeOutputs), and the call writes no other row, so threads may
-  /// fill disjoint rows of the same two tensors at once. A row's values do
+  /// fill disjoint rows of the same tensors at once. A row's values do
   /// not depend on which rows share the call. Reads the model only, so
   /// threads may share it; needs eval mode (CamalEnsemble sets it), or
   /// BatchNorm would update its running statistics.
   virtual void InferRows(const nn::Tensor& x, int64_t begin, int64_t end,
-                         nn::Tensor* logits,
-                         nn::Tensor* feature_maps) const = 0;
+                         nn::Tensor* logits, nn::Tensor* feature_maps,
+                         nn::Tensor* cam) const = 0;
 
-  /// Shapes \p logits and, unless it is null, \p feature_maps for
-  /// InferRows over x (Tensor::Resize, so storage is kept when it fits).
+  /// Shapes \p logits and each non-null output of InferRows over x
+  /// (Tensor::Resize, so storage is kept when it fits).
   void ResizeOutputs(const nn::Tensor& x, nn::Tensor* logits,
-                     nn::Tensor* feature_maps) const;
+                     nn::Tensor* feature_maps, nn::Tensor* cam) const;
 
   /// InferRows over every row of x: returns the logits and writes the
   /// maps to \p feature_maps, reusing its storage, unless it is null.
@@ -52,6 +56,13 @@ class CamBackbone : public nn::Module {
 
   /// Width parameter used to reconstruct the architecture at load time.
   virtual int64_t base_filters() const = 0;
+
+ protected:
+  /// InferRows' CAM output: the class-1 CAM of \p rows samples' maps
+  /// (rows, K, L) at \p maps into rows [begin, begin + rows) of \p cam,
+  /// unless it is null.
+  void CamRowsInto(const float* maps, int64_t begin, int64_t rows,
+                   int64_t length, nn::Tensor* cam) const;
 };
 
 }  // namespace camal::core

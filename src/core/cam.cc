@@ -7,6 +7,24 @@
 
 namespace camal::core {
 
+void CamRows(const float* maps, int64_t rows, int64_t l,
+             const nn::Tensor& head_weights, int64_t class_index, float* out) {
+  CAMAL_CHECK_EQ(head_weights.ndim(), 2);
+  CAMAL_CHECK_GE(class_index, 0);
+  CAMAL_CHECK_LT(class_index, head_weights.dim(0));
+  const int64_t k = head_weights.dim(1);
+  const float* w = head_weights.data() + class_index * k;
+  for (int64_t r = 0; r < rows; ++r) {
+    float* dst = out + r * l;
+    std::fill_n(dst, l, 0.0f);
+    for (int64_t ki = 0; ki < k; ++ki) {
+      if (w[ki] == 0.0f) continue;
+      const float* row = maps + (r * k + ki) * l;
+      for (int64_t t = 0; t < l; ++t) dst[t] += w[ki] * row[t];
+    }
+  }
+}
+
 void ComputeCamInto(const nn::Tensor& feature_maps,
                     const nn::Tensor& head_weights, int64_t class_index,
                     nn::Tensor* out) {
@@ -14,24 +32,12 @@ void ComputeCamInto(const nn::Tensor& feature_maps,
   CAMAL_CHECK_EQ(feature_maps.ndim(), 3);
   CAMAL_CHECK_EQ(head_weights.ndim(), 2);
   CAMAL_CHECK_EQ(feature_maps.dim(1), head_weights.dim(1));
-  CAMAL_CHECK_GE(class_index, 0);
-  CAMAL_CHECK_LT(class_index, head_weights.dim(0));
-  const int64_t n = feature_maps.dim(0), k = feature_maps.dim(1),
-                l = feature_maps.dim(2);
-  if (out->ndim() == 2 && out->dim(0) == n && out->dim(1) == l) {
-    out->Zero();  // the accumulation below needs a clean slate
-  } else {
-    *out = nn::Tensor({n, l});
-  }
-  nn::Tensor& cam = *out;
+  const int64_t n = feature_maps.dim(0), l = feature_maps.dim(2);
+  const int64_t row = feature_maps.dim(1) * l;
+  out->Resize({n, l});
   ParallelFor(0, n, [&](int64_t ni) {
-    for (int64_t ki = 0; ki < k; ++ki) {
-      const float w = head_weights.at2(class_index, ki);
-      if (w == 0.0f) continue;
-      const float* row = feature_maps.data() + (ni * k + ki) * l;
-      float* dst = cam.data() + ni * l;
-      for (int64_t t = 0; t < l; ++t) dst[t] += w * row[t];
-    }
+    CamRows(feature_maps.data() + ni * row, 1, l, head_weights, class_index,
+            out->data() + ni * l);
   });
 }
 

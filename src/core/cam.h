@@ -11,12 +11,21 @@ namespace camal::core {
 nn::Tensor ComputeCam(const nn::Tensor& feature_maps,
                       const nn::Tensor& head_weights, int64_t class_index);
 
-/// ComputeCam into a caller-owned tensor: \p out is reshaped only when its
-/// shape differs from (N, L), so a scan loop that localizes batch after
-/// batch reuses the same storage (serve::BatchRunner's hot path).
+/// ComputeCam into a caller-owned tensor, shaped (N, L) by Tensor::Resize,
+/// so a caller that forms CAMs batch after batch reuses the same storage.
+/// Each row is CamRows over that sample's maps.
 void ComputeCamInto(const nn::Tensor& feature_maps,
                     const nn::Tensor& head_weights, int64_t class_index,
                     nn::Tensor* out);
+
+/// The CAM arithmetic every CAM in the tree runs, one sample at a time:
+/// rows [0, \p rows) of (rows, K, L) maps at \p maps into \p rows
+/// consecutive (L) rows at \p out. Each row starts at 0 and adds
+/// w[c, k] * f[k, t] for k in ascending order, skipping zero weights, so
+/// a row's bits depend on its own maps only. CamBackbone::InferRows forms
+/// its CAM rows here from the maps its forward just wrote.
+void CamRows(const float* maps, int64_t rows, int64_t l,
+             const nn::Tensor& head_weights, int64_t class_index, float* out);
 
 /// Per-sample max normalization (step 4 of §IV-B): each row of \p cam is
 /// divided by its maximum value. Negative evidence stays negative — the

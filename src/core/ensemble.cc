@@ -230,36 +230,40 @@ CamalEnsemble::CamalEnsemble(std::vector<EnsembleMember> members)
 
 nn::Tensor CamalEnsemble::DetectProbabilityBatched(
     const nn::Tensor& inputs, std::vector<nn::Tensor>* feature_maps,
-    int spare) const {
+    int spare, std::vector<nn::Tensor>* cams) const {
   // Resizing members() after construction would leave cost_order_ stale.
   CAMAL_CHECK_EQ(cost_order_.size(), members_.size());
   const size_t n = members_.size();
   const int64_t windows = inputs.dim(0);
   if (feature_maps != nullptr) feature_maps->resize(n);
-  const auto maps = [&](size_t m) {
-    return feature_maps != nullptr ? &(*feature_maps)[m] : nullptr;
+  if (cams != nullptr) cams->resize(n);
+  // Member m's optional outputs, or null.
+  const auto out = [](std::vector<nn::Tensor>* all, size_t m) {
+    return all != nullptr ? &(*all)[m] : nullptr;
+  };
+  // Rows [begin, end) of member m into its outputs.
+  std::vector<nn::Tensor> logits(n);
+  const auto infer = [&](size_t m, int64_t begin, int64_t end) {
+    members_[m].model->InferRows(inputs, begin, end, &logits[m],
+                                 out(feature_maps, m), out(cams, m));
   };
   // Every member's outputs get their shapes before any lane writes rows.
-  std::vector<nn::Tensor> logits(n);
   for (size_t m = 0; m < n; ++m) {
-    members_[m].model->ResizeOutputs(inputs, &logits[m], maps(m));
+    members_[m].model->ResizeOutputs(inputs, &logits[m], out(feature_maps, m),
+                                     out(cams, m));
   }
   const int64_t items = static_cast<int64_t>(n) * windows;
   const int cores = std::min(1 + std::max(0, spare), NumThreads());
   const int lanes = static_cast<int>(std::min<int64_t>(items, cores));
   if (lanes <= 1) {
-    for (size_t m : cost_order_) {
-      members_[m].model->InferRows(inputs, 0, windows, &logits[m], maps(m));
-    }
+    for (size_t m : cost_order_) infer(m, 0, windows);
   } else {
     std::atomic<int64_t> next{0};
     ParallelLanes(lanes, [&](int) {
       for (int64_t k = next++; k < items; k = next++) {
         const internal::LaneItem item =
             internal::LaneItemAt(cost_order_, windows, k);
-        members_[item.member].model->InferRows(
-            inputs, item.window, item.window + 1, &logits[item.member],
-            maps(item.member));
+        infer(item.member, item.window, item.window + 1);
       }
     });
   }

@@ -86,8 +86,10 @@ class CamalEnsemble {
   /// Same probability through each member's const serving forward
   /// (CamBackbone::InferRows: GEMM convolutions, fused BatchNorm, no
   /// caches); \p feature_maps, when set, gets the members' pre-GAP maps in
-  /// member order. Reads the ensemble only, so threads may share it.
-  /// Agrees with DetectProbability to float rounding.
+  /// member order, and \p cams, when set, their class-1 CAMs (N, L), each
+  /// formed inside the forward that produced its maps. Reads the ensemble
+  /// only, so threads may share it. Agrees with DetectProbability to float
+  /// rounding.
   ///
   /// Each member's forward of each window is independent until the
   /// probabilities are averaged, so the pass runs min(members x windows,
@@ -95,8 +97,8 @@ class CamalEnsemble {
   /// (ParallelLanes, each forward with budget 1) claim (member, window)
   /// items from one cursor in cost order: every window of the costliest
   /// member first, then the next member's (internal::LaneItemAt), and
-  /// each item writes its window's rows of that member's logits and maps
-  /// in place. With one, each member runs the whole batch as one forward
+  /// each item writes its window's rows of that member's logits, maps and
+  /// CAM in place. With one, each member runs the whole batch as one forward
   /// on the caller's budget. Pass the number of cores known to be idle
   /// (serve::Service passes its spare workers); the default 0 is one lane.
   /// A window's rows do not depend on which rows share its forward, and
@@ -104,7 +106,7 @@ class CamalEnsemble {
   /// bitwise the same for every \p spare.
   nn::Tensor DetectProbabilityBatched(
       const nn::Tensor& inputs, std::vector<nn::Tensor>* feature_maps = nullptr,
-      int spare = 0) const;
+      int spare = 0, std::vector<nn::Tensor>* cams = nullptr) const;
 
   /// Mutable for reading weights; keep the member count: the cost order
   /// is fixed at construction (rebuild through FromMembers to subset).

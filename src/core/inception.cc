@@ -137,7 +137,8 @@ nn::Tensor InceptionClassifier::Forward(const nn::Tensor& x) {
 
 void InceptionClassifier::InferRows(const nn::Tensor& x, int64_t begin,
                                     int64_t end, nn::Tensor* logits,
-                                    nn::Tensor* feature_maps) const {
+                                    nn::Tensor* feature_maps,
+                                    nn::Tensor* cam) const {
   CAMAL_CHECK_EQ(x.ndim(), 3);
   CAMAL_CHECK(0 <= begin && begin <= end && end <= x.dim(0));
   if (begin == end) return;
@@ -161,6 +162,7 @@ void InceptionClassifier::InferRows(const nn::Tensor& x, int64_t begin,
   };
   copy_rows(out, logits);
   if (feature_maps != nullptr) copy_rows(maps, feature_maps);
+  CamRowsInto(maps.data(), begin, end - begin, maps.dim(2), cam);
 }
 
 nn::Tensor InceptionClassifier::Backward(const nn::Tensor& grad_output) {

@@ -44,9 +44,10 @@ class InceptionClassifier : public CamBackbone {
   nn::Tensor Backward(const nn::Tensor& grad_output) override;
   /// Eval-mode forward through every layer's ForwardInference, no caches,
   /// over a copy of the rows; the results are copied into the caller's
-  /// rows.
+  /// rows, and the CAM rows formed from the maps.
   void InferRows(const nn::Tensor& x, int64_t begin, int64_t end,
-                 nn::Tensor* logits, nn::Tensor* feature_maps) const override;
+                 nn::Tensor* logits, nn::Tensor* feature_maps,
+                 nn::Tensor* cam) const override;
   void CollectParameters(std::vector<nn::Parameter*>* out) override;
   void CollectBuffers(std::vector<nn::Tensor*>* out) override;
   void SetTraining(bool training) override;

@@ -20,23 +20,15 @@ LocalizationResult CamalLocalizer::Localize(const nn::Tensor& inputs,
   const int64_t n = inputs.dim(0), l = inputs.dim(2);
 
   LocalizationResult result;
-  // Step 1-2: ensemble probability through the batched inference runtime,
-  // which writes each member's feature maps to this localizer's scratch.
+  // Steps 1-3: ensemble probability through the batched inference
+  // runtime, whose member forwards write their class-1 CAMs to this
+  // localizer's scratch.
   result.probabilities =
-      ensemble_->DetectProbabilityBatched(inputs, &feature_maps_, spare);
+      ensemble_->DetectProbabilityBatched(inputs, nullptr, spare, &cams_);
 
-  // Step 3-4: per-member class-1 CAMs, max-normalized, averaged. The CAM
-  // tensors are member scratch reused across calls: batches of one scan
-  // share a shape, so steady state allocates nothing here.
-  cam_scratch_.resize(feature_maps_.size());
-  for (size_t m = 0; m < feature_maps_.size(); ++m) {
-    nn::Tensor* cam = &cam_scratch_[m];
-    ComputeCamInto(feature_maps_[m],
-                   ensemble_->members()[m].model->head_weights(),
-                   /*class_index=*/1, cam);
-    NormalizeCamByMaxInPlace(cam);
-  }
-  result.ensemble_cam = AverageCams(cam_scratch_);
+  // Step 4: max-normalized, averaged.
+  for (nn::Tensor& cam : cams_) NormalizeCamByMaxInPlace(&cam);
+  result.ensemble_cam = AverageCams(cams_);
 
   // Steps 5-6: attention-sigmoid and rounding, gated by detection. The
   // attention mask multiplies the CAM with the *standardized* window (the

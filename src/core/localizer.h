@@ -62,14 +62,15 @@ class CamalLocalizer {
  private:
   const CamalEnsemble* ensemble_;
   LocalizerOptions options_;
-  /// Per-member scratch reused across Localize calls: the feature maps the
-  /// ensemble's forward writes, and the CAMs formed from them (a household
-  /// scan localizes hundreds of equally-shaped batches; reallocating every
-  /// CAM per batch dominated small-batch scans). One localizer instance is
-  /// therefore single-threaded state — serve::Service gives each worker
-  /// its own localizer, all over the one shared ensemble.
-  std::vector<nn::Tensor> feature_maps_;
-  std::vector<nn::Tensor> cam_scratch_;
+  /// Per-member class-1 CAMs (N, L), reused across Localize calls (a
+  /// household scan localizes hundreds of equally-shaped batches). Each
+  /// member's forward forms its CAM rows from the maps it just produced
+  /// (CamBackbone::InferRows), so the maps never leave the forwarding
+  /// thread's activations and the localizer holds O(N · L) per member.
+  /// One localizer instance is therefore single-threaded state —
+  /// serve::Service gives each worker its own localizer, all over the one
+  /// shared ensemble.
+  std::vector<nn::Tensor> cams_;
 };
 
 }  // namespace camal::core

@@ -119,7 +119,8 @@ nn::Tensor ResNetClassifier::Forward(const nn::Tensor& x) {
 
 void ResNetClassifier::InferRows(const nn::Tensor& x, int64_t begin,
                                  int64_t end, nn::Tensor* logits,
-                                 nn::Tensor* feature_maps) const {
+                                 nn::Tensor* feature_maps,
+                                 nn::Tensor* cam) const {
   // Eval-mode BatchNorm only: a training-mode forward would have to
   // update the running statistics, which a const forward must not.
   CAMAL_CHECK_MSG(!training(), "ResNetClassifier::InferRows needs eval mode");
@@ -177,6 +178,7 @@ void ResNetClassifier::InferRows(const nn::Tensor& x, int64_t begin,
     CAMAL_CHECK_EQ(feature_maps->dim(1), maps.channels);
     CAMAL_CHECK_EQ(feature_maps->dim(2), maps.length);
   }
+  CamRowsInto(maps.data, begin, rows, maps.length, cam);
   // GAP, then the head straight into the logits rows.
   arena.pooled.resize(static_cast<size_t>(rows * maps.channels));
   nn::GlobalAvgPoolRows(maps.data, rows * maps.channels, maps.length,

@@ -46,10 +46,12 @@ class ResNetClassifier : public CamBackbone {
   /// Batched inference path: the plan compiled at construction, whose
   /// fused conv steps run over this thread's activation arena (see
   /// resnet.cc). The first step reads x's rows and the last writes the
-  /// maps rows in place (\p feature_maps serves as its slot; it must not
-  /// be \p x); GAP and the head write the logits rows. Needs eval mode.
+  /// maps rows in place (\p feature_maps, when set, serves as its slot; it
+  /// must not be \p x); the CAM rows, GAP and the head read the maps, and
+  /// write the cam and logits rows. Needs eval mode.
   void InferRows(const nn::Tensor& x, int64_t begin, int64_t end,
-                 nn::Tensor* logits, nn::Tensor* feature_maps) const override;
+                 nn::Tensor* logits, nn::Tensor* feature_maps,
+                 nn::Tensor* cam) const override;
   /// Infer into feature_maps(), so CAM extraction works after it.
   nn::Tensor ForwardInference(const nn::Tensor& x) override;
   void CollectParameters(std::vector<nn::Parameter*>* out) override;

@@ -38,7 +38,9 @@ Result<HouseRecord> ParseHouseCsv(const std::string& text, int house_id);
 Result<std::vector<HouseRecord>> LoadDatasetDir(const std::string& directory);
 
 /// Writes a HouseRecord back to CSV (inverse of LoadHouseCsv); useful for
-/// exporting simulated cohorts to disk for external tools.
+/// exporting simulated cohorts to disk for external tools. Missing
+/// readings (data::IsMissing: NaN or +-Inf) become empty cells, so they
+/// load back as NaN.
 Status WriteHouseCsv(const HouseRecord& house, const std::string& path);
 
 /// Possession survey file: one `house_id,appliance,owned` row per answer

@@ -12,8 +12,12 @@ namespace camal::data {
 /// Sentinel for a missing smart-meter reading.
 inline constexpr float kMissingValue = std::numeric_limits<float>::quiet_NaN();
 
-/// True when \p v is a missing reading.
-inline bool IsMissing(float v) { return std::isnan(v); }
+/// True when \p v is not a finite number: a missing reading (NaN), or a
+/// +-Inf no meter can have measured. Every reader of a reading asks this
+/// one predicate, so both are treated alike everywhere: windows zero-fill
+/// them, served power is 0 there, averages skip them, and the CSV writer
+/// leaves their cells empty.
+inline bool IsMissing(float v) { return !std::isfinite(v); }
 
 /// A regularly sampled univariate power series (the smart-meter signal of
 /// Section II): values[i] is the average power (Watts) over interval i.

@@ -21,6 +21,82 @@ void KeepLast(std::vector<T>* v, size_t keep) {
   if (v->capacity() > 4 * keep) v->shrink_to_fit();
 }
 
+/// Drops the first \p drop slots of \p acc's accumulators (all of them
+/// when it holds fewer), then zero-extends them to at least \p size.
+void SlideVotes(SessionScanState* acc, int64_t drop, int64_t size) {
+  const auto slide = [drop, size](auto* v) {
+    const auto gone = std::min(static_cast<size_t>(drop), v->size());
+    v->erase(v->begin(), v->begin() + static_cast<std::ptrdiff_t>(gone));
+    v->resize(std::max(static_cast<size_t>(size), v->size()));
+  };
+  slide(&acc->prob_sum);
+  slide(&acc->cover);
+  slide(&acc->on_votes);
+}
+
+/// A series' place in a stitch pass: its accumulators hold the grid
+/// votes of live timestamps [lo, lo + size), and every timestamp before
+/// `done` is final in its result.
+struct VoteCursor {
+  int64_t lo = 0;
+  int64_t done = 0;
+};
+
+/// Writes live timestamps [cursor->done, to) of \p result (\p to is never
+/// below done: windows arrive in ascending offset) from \p acc's grid
+/// votes, then the end window's votes in \p overlay (index
+/// t - end_start) when it is set and voted — grid votes first, the
+/// overlay last, whenever a timestamp is written — and advances the
+/// cursor. Timestamps no window covered keep their zeros.
+void FinalizeVotes(const SessionScanState& acc,
+                   const SessionScanState* overlay, int64_t end_start,
+                   int64_t to, VoteCursor* cursor, ScanResult* result) {
+  const int64_t voted = cursor->lo + static_cast<int64_t>(acc.cover.size());
+  const bool has_overlay = overlay != nullptr && !overlay->cover.empty();
+  float* detection = result->detection.data();
+  float* status = result->status.data();
+  for (int64_t t = cursor->done; t < to; ++t) {
+    float p = 0.0f;
+    int32_t c = 0;
+    int32_t on = 0;
+    if (t < voted) {
+      const auto s = static_cast<size_t>(t - cursor->lo);
+      p = acc.prob_sum[s];
+      c = acc.cover[s];
+      on = acc.on_votes[s];
+    }
+    if (has_overlay && t >= end_start) {
+      const auto j = static_cast<size_t>(t - end_start);
+      p += overlay->prob_sum[j];
+      c += overlay->cover[j];
+      on += overlay->on_votes[j];
+    }
+    if (c == 0) continue;
+    detection[t] = p / static_cast<float>(c);
+    status[t] = 2 * on > c ? 1.0f : 0.0f;
+  }
+  cursor->done = to;
+}
+
+/// Readies \p acc for the grid window at live \p offset, the next of its
+/// series: no later window reaches a timestamp before it, so those are
+/// finalized into \p result first. The accumulators then drop their
+/// final slots once those span \p slide timestamps (a few windows, so no
+/// vote pays a shift) and grow to the window's end. Returns the slot of
+/// \p offset.
+int64_t OpenGridWindow(int64_t offset, int64_t l, int64_t slide,
+                       SessionScanState* acc, VoteCursor* cursor,
+                       ScanResult* result) {
+  FinalizeVotes(*acc, nullptr, 0, offset, cursor, result);
+  const int64_t drop = offset - cursor->lo >= slide ? offset - cursor->lo : 0;
+  cursor->lo += drop;
+  const int64_t start = offset - cursor->lo;
+  if (drop > 0 || static_cast<int64_t>(acc->cover.size()) < start + l) {
+    SlideVotes(acc, drop, start + l);
+  }
+  return start;
+}
+
 }  // namespace
 
 BatchRunner::BatchRunner(const core::CamalEnsemble* ensemble,
@@ -78,18 +154,18 @@ std::vector<ScanResult> BatchRunner::ScanMany(
     const std::vector<data::SeriesView>& series, int spare) {
   // A one-shot scan is the stitch pass over fresh scratch accumulators,
   // voting on the caller's borrowed views. resize keeps existing
-  // elements, so their buffers' capacity is reused across scans.
+  // elements, so their buffers' capacity (at most a few windows' worth)
+  // is reused across scans.
   scratch_.resize(std::max(scratch_.size(), series.size()));
   std::vector<SessionScanState*> votes;
   votes.reserve(series.size());
   for (size_t i = 0; i < series.size(); ++i) {
     SessionScanState& acc = scratch_[i];
-    const size_t len = static_cast<size_t>(series[i].size());
     acc.base = 0;
     acc.grid_windows = 0;
-    acc.prob_sum.assign(len, 0.0f);
-    acc.cover.assign(len, 0);
-    acc.on_votes.assign(len, 0);
+    acc.prob_sum.clear();
+    acc.cover.clear();
+    acc.on_votes.clear();
     votes.push_back(&acc);
   }
   return StitchPass(series, votes, spare);
@@ -99,9 +175,8 @@ std::vector<ScanResult> BatchRunner::AppendScanMany(
     const std::vector<SessionScanState*>& states,
     const std::vector<data::SeriesView>& deltas, int spare) {
   CAMAL_CHECK_EQ(states.size(), deltas.size());
-  // Commit each delta and zero-extend the accumulators, which keeps the
-  // committed grid votes; the pass then votes only on the new windows
-  // and finalizes the live readings, from each state's base on.
+  // Commit each delta; the pass votes only on the new windows and
+  // finalizes the live readings, from each state's base on.
   std::vector<data::SeriesView> views;
   views.reserve(states.size());
   for (size_t i = 0; i < states.size(); ++i) {
@@ -109,15 +184,12 @@ std::vector<ScanResult> BatchRunner::AppendScanMany(
     CAMAL_CHECK(state != nullptr);
     state->series.insert(state->series.end(), deltas[i].begin(),
                          deltas[i].end());
-    const size_t len = state->series.size();
-    state->prob_sum.resize(len, 0.0f);
-    state->cover.resize(len, 0);
-    state->on_votes.resize(len, 0);
     views.push_back(data::SeriesView(state->series));
   }
   std::vector<ScanResult> results = StitchPass(views, states, spare);
   // Finalize once: no later window votes before len - l (see
-  // SessionScanState), so only the last l readings and slots stay live.
+  // SessionScanState), so only the last l readings and slots stay live
+  // (the pass left exactly those slots).
   const auto keep = static_cast<size_t>(options_.stream.window_length);
   for (SessionScanState* state : states) {
     const int64_t before = static_cast<int64_t>(state->series.size());
@@ -203,7 +275,11 @@ std::vector<ScanResult> BatchRunner::StitchPass(
 
   // Feed and vote: every series' windows through shared GEMM batches —
   // batches fill across series boundaries, so small households and
-  // tail-sized appends do not mean nearly empty batches.
+  // tail-sized appends do not mean nearly empty batches. A series' grid
+  // windows arrive in ascending offset, so each one finalizes the
+  // timestamps before it (OpenGridWindow): the accumulators hold about
+  // one window's slots, never the series'.
+  std::vector<VoteCursor> cursors(n);
   double seconds = 0.0;
   if (!refs.empty()) {
     // Only a one-batch pass lends its forwards to spare cores (ScanMany).
@@ -219,15 +295,20 @@ std::vector<ScanResult> BatchRunner::StitchPass(
       for (int64_t w = 0; w < b; ++w) {
         const WindowRef ref = batch_refs_[static_cast<size_t>(w)];
         const FeedTarget target = targets[static_cast<size_t>(ref.series)];
-        SessionScanState& acc =
-            target.overlay ? overlays_[target.series] : *votes[target.series];
-        const int64_t start = target.overlay ? 0 : ref.offset;
+        SessionScanState* acc = &overlays_[target.series];
+        int64_t start = 0;
+        if (!target.overlay) {
+          acc = votes[target.series];
+          start = OpenGridWindow(ref.offset, l, 3 * l, acc,
+                                 &cursors[target.series],
+                                 &results[target.series]);
+        }
         const float p = loc.probabilities.at(w);
         for (int64_t t = 0; t < l; ++t) {
           const size_t s = static_cast<size_t>(start + t);
-          acc.prob_sum[s] += p;
-          ++acc.cover[s];
-          if (loc.status.at2(w, t) > 0.5f) ++acc.on_votes[s];
+          acc->prob_sum[s] += p;
+          ++acc->cover[s];
+          if (loc.status.at2(w, t) > 0.5f) ++acc->on_votes[s];
         }
         ++results[target.series].windows;
       }
@@ -235,32 +316,20 @@ std::vector<ScanResult> BatchRunner::StitchPass(
     seconds = watch.ElapsedSeconds();
   }
 
-  // Finalize the live timestamps: grid votes first, the overlay last —
-  // ascending window order, whatever the chunking of appends, so the
-  // float sums are bit-identical across every way of reaching the same
-  // series. The pass was shared, so each result reports its wall time
-  // (see ScanResult).
+  // Finalize the rest: grid votes first, the overlay last — ascending
+  // window order, whatever the chunking of appends, so the float sums are
+  // bit-identical across every way of reaching the same series. Then a
+  // state keeps the slots of its last l live timestamps only (see
+  // SessionScanState). The pass was shared, so each result reports its
+  // wall time (see ScanResult).
   for (size_t i = 0; i < n; ++i) {
     ScanResult& result = results[i];
     result.seconds = seconds;
     const int64_t size = views[i].size();
-    const SessionScanState& acc = *votes[i];
-    const SessionScanState& overlay = overlays_[i];
-    for (int64_t t = 0; t < size; ++t) {
-      const size_t s = static_cast<size_t>(t);
-      float p = acc.prob_sum[s];
-      int32_t c = acc.cover[s];
-      int32_t on = acc.on_votes[s];
-      const int64_t j = t - (size - l);
-      if (j >= 0 && !overlay.cover.empty()) {
-        p += overlay.prob_sum[static_cast<size_t>(j)];
-        c += overlay.cover[static_cast<size_t>(j)];
-        on += overlay.on_votes[static_cast<size_t>(j)];
-      }
-      if (c == 0) continue;
-      result.detection.at(t) = p / static_cast<float>(c);
-      result.status.at(t) = 2 * on > c ? 1.0f : 0.0f;
-    }
+    VoteCursor& cursor = cursors[i];
+    FinalizeVotes(*votes[i], &overlays_[i], size - l, size, &cursor, &result);
+    const int64_t keep_from = std::max<int64_t>(0, size - l);
+    SlideVotes(votes[i], keep_from - cursor.lo, size - keep_from);
     FinalizePower(views[i], &result);
   }
   return results;

@@ -70,11 +70,17 @@ struct ScanResult {
 /// which is what makes incremental results, each written at its `from`,
 /// bitwise-identical to a one-shot scan of the concatenated series.
 ///
-/// Finalize once: after an append, no later window can vote before
-/// len - l (the next grid window starts at grid_windows * stride, past
-/// it; every later tail starts at or after it), so the pass drops those
-/// timestamps for good. A session holds min(len, l) readings and
-/// accumulator slots, whatever its history; `base` is the absolute index
+/// Finalize as the pass goes: grid windows arrive in ascending offset, so
+/// once the window at offset o is about to vote, no later window can
+/// reach a timestamp before o. The pass writes those timestamps' result
+/// then and drops their slots a few windows at a time, so while it votes
+/// the accumulators hold about one window's slots (at most 4l), however
+/// long the series or a session's first append; the rest, the end
+/// window's included, is written after the feed. After an append, no
+/// later window can vote before len - l (the next grid window starts at
+/// grid_windows * stride, past it; every later tail starts at or after
+/// it), so a session holds min(len, l) readings and accumulator slots
+/// between appends, whatever its history; `base` is the absolute index
 /// of series[0] and of slot 0 of each accumulator.
 struct SessionScanState {
   int64_t base = 0;               ///< absolute index of series[0].
@@ -105,9 +111,13 @@ struct SessionScanState {
 /// (MultiWindowStream). Vote: each window's votes accumulate into its own
 /// series' grid accumulators, or into the transient overlay for the end
 /// window. Finalize: grid votes first, overlay last, over the live
-/// timestamps only. A one-shot scan is the pass over fresh scratch
-/// accumulators (base 0, so the whole series is live); an append is the
-/// pass over a session's persisted ones. Because per-window forward
+/// timestamps only, each timestamp as soon as no later window can vote
+/// on it (see SessionScanState). A one-shot scan is the pass over fresh
+/// scratch accumulators (base 0, so the whole series is live); an append
+/// is the pass over a session's persisted ones. Either way a pass holds
+/// its 12 B/reading result (detection, status, power) and O(batch · l)
+/// besides: window-sized accumulators, the batch, the per-member CAMs,
+/// and the forwards' per-thread activations. Because per-window forward
 /// results do not depend on which other windows share a batch, ScanMany
 /// and AppendScanMany can coalesce windows from several series into one
 /// forward pass and still return, for every series, bitwise-identical
@@ -117,7 +127,8 @@ class BatchRunner {
   /// \p ensemble is borrowed read-only and must outlive the runner.
   BatchRunner(const core::CamalEnsemble* ensemble, BatchRunnerOptions options);
 
-  /// Scans \p aggregate_watts (unscaled Watts; NaN = missing reading).
+  /// Scans \p aggregate_watts (unscaled Watts; NaN or +-Inf = missing
+  /// reading, data::IsMissing).
   /// The view is borrowed for the duration of the call only — it can sit
   /// over a vector or straight over a mapped ColumnStore channel; nothing
   /// is copied either way. Series shorter than one window are left-padded
@@ -133,7 +144,9 @@ class BatchRunner {
   /// boundaries, so small households no longer mean underfilled batches),
   /// then each series stitches and finalizes on its own. results[i] is
   /// bitwise-identical to Scan(series[i]); entries may repeat or be
-  /// empty. Not thread-safe, like Scan.
+  /// empty. Not thread-safe, like Scan. Beyond the results and each
+  /// series' window list (16 B per window), the pass keeps a few windows'
+  /// vote slots per series, never scratch sized by a series' length.
   ///
   /// \p spare is how many cores the caller knows to be idle
   /// (serve::Service passes its spare workers). When every window fits
@@ -205,7 +218,9 @@ class BatchRunner {
   BatchRunnerOptions options_;
   // Scan scratch reused across calls (one scan stitches hundreds of
   // batches; per-batch allocation churn showed up in serving profiles).
-  std::vector<SessionScanState> scratch_;  ///< one-shot accumulators.
+  /// One-shot accumulators, one per series of the largest group so far,
+  /// each a few windows long (see SessionScanState).
+  std::vector<SessionScanState> scratch_;
   /// Per-series votes of the end-aligned window (tail or short-series
   /// pad), window-length: index j covers live index
   /// size - window_length + j.

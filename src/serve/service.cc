@@ -9,6 +9,7 @@
 
 #include "common/fault_injection.h"
 #include "common/parallel_for.h"
+#include "data/csv_loader.h"
 #include "data/window.h"
 #include "serve/checkpoint.h"
 
@@ -313,6 +314,14 @@ std::future<Result<ScanResult>> Service::Reject(Status status) {
   return future;
 }
 
+Status Service::CheckLength(int64_t readings) {
+  if (readings <= data::kMaxHouseReadings) return Status::OK();
+  return Status::InvalidArgument(
+      "series of " + std::to_string(readings) +
+      " readings is longer than kMaxHouseReadings (" +
+      std::to_string(data::kMaxHouseReadings) + ")");
+}
+
 std::future<Result<ScanResult>> Service::Submit(ScanRequest request) {
   // Validate before touching the queue: malformed input must surface as a
   // Status, never reach a worker, and never abort.
@@ -331,6 +340,10 @@ std::future<Result<ScanResult>> Service::Submit(ScanRequest request) {
   }
   if (!request.owned_series.has_value() && !request.series.has_value()) {
     return Reject(Status::InvalidArgument("request has no series"));
+  }
+  if (Status length = CheckLength(RequestSeries(request).size());
+      !length.ok()) {
+    return Reject(std::move(length));
   }
   // appliances_ is frozen once state_ is kRunning, so lock-free reads are
   // safe here.
@@ -421,6 +434,10 @@ Result<std::shared_ptr<Session>> Service::CreateSession(
 
 std::future<Result<ScanResult>> Service::AppendReadings(
     const std::shared_ptr<Session>& session, std::vector<float> readings) {
+  if (Status length = CheckLength(static_cast<int64_t>(readings.size()));
+      !length.ok()) {
+    return Reject(std::move(length));
+  }
   if (session == nullptr || session->service_ != this) {
     return Reject(Status::InvalidArgument(
         "session does not belong to this service"));

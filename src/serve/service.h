@@ -181,7 +181,8 @@ struct ServiceStats {
 ///
 /// Error contract: malformed requests never abort the process. Submit
 /// resolves the returned future immediately with kInvalidArgument (empty
-/// appliance name, no series set, negative deadline), kNotFound
+/// appliance name, no series set, a series longer than
+/// data::kMaxHouseReadings, negative deadline), kNotFound
 /// (unregistered appliance), or kFailedPrecondition (not started, shut
 /// down, or queue full). Workers only ever see validated requests; a scan
 /// that throws resolves the affected futures with kInternal and the
@@ -269,7 +270,9 @@ class Service {
   /// far. Appends to one session serialize in submission order; at most
   /// max_pending_appends may park behind the in-flight one before
   /// kFailedPrecondition backpressure. A closed / evicted session or a
-  /// shut-down service rejects with kFailedPrecondition. Thread-safe.
+  /// shut-down service rejects with kFailedPrecondition, and a delta
+  /// longer than data::kMaxHouseReadings with kInvalidArgument (so do
+  /// Session's copying overloads, before they copy). Thread-safe.
   [[nodiscard]] std::future<Result<ScanResult>> AppendReadings(
       const std::shared_ptr<Session>& session, std::vector<float> readings);
 
@@ -358,6 +361,8 @@ class Service {
     std::thread thread;
   };
 
+  friend class Session;  // its copying AppendReadings overloads reject early
+
   void WorkerLoop(Worker* worker);
 
   /// Serves one dequeued group (head task plus same-appliance extras) on
@@ -399,6 +404,12 @@ class Service {
 
   /// Ready future carrying \p status; counts an invalid-request rejection.
   std::future<Result<ScanResult>> Reject(Status status);
+
+  /// kInvalidArgument when a request's \p readings exceed
+  /// data::kMaxHouseReadings (a pass holds 12 B of result per reading),
+  /// else OK. Submit and every AppendReadings overload ask it first, so an
+  /// over-long series is rejected before anything copies or reads it.
+  static Status CheckLength(int64_t readings);
 
   ServiceOptions options_;
   /// Written under lifecycle_mu_ before Start publishes kRunning, frozen

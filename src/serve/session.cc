@@ -31,6 +31,9 @@ std::future<Result<ScanResult>> Session::AppendReadings(
 
 std::future<Result<ScanResult>> Session::AppendReadings(
     data::SeriesView readings) {
+  if (Status length = Service::CheckLength(readings.size()); !length.ok()) {
+    return service_->Reject(std::move(length));
+  }
   return AppendReadings(std::vector<float>(readings.begin(), readings.end()));
 }
 

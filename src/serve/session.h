@@ -67,8 +67,8 @@ class Session : public std::enable_shared_from_this<Session> {
   /// session.
   bool closed() const;
 
-  /// Appends \p readings (unscaled Watts, NaN = missing) to the household
-  /// and rescans incrementally. Shorthand for
+  /// Appends \p readings (unscaled Watts, NaN or +-Inf = missing) to the
+  /// household and rescans incrementally. Shorthand for
   /// Service::AppendReadings(session, readings); see it for the contract.
   /// [[nodiscard]] like Service::Submit: the future is the outcome.
   [[nodiscard]] std::future<Result<ScanResult>> AppendReadings(

@@ -44,10 +44,11 @@ struct WindowRef {
 /// forward pass can carry windows cut from different households. Windows
 /// are ordered series-by-series (series 0's windows first, then series
 /// 1's, ...), each series windowed by ComputeWindowOffsets alone — same
-/// offsets, same zero-fill of missing (NaN) readings, same scaling — so
-/// per-window model inputs are bit-for-bit what an uncoalesced scan
-/// feeds. Batches simply keep filling across series boundaries instead of
-/// flushing short. Series shorter than one window contribute nothing.
+/// offsets, same zero-fill of missing (NaN or +-Inf) readings, same
+/// scaling — so per-window model inputs are bit-for-bit what an
+/// uncoalesced scan feeds. Batches simply keep filling across series
+/// boundaries instead of flushing short. Series shorter than one window
+/// contribute nothing.
 class MultiWindowStream {
  public:
   /// \p series entries are non-owning views whose backing storage must

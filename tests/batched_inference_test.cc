@@ -19,6 +19,7 @@
 
 #include "common/parallel_for.h"
 #include "common/rng.h"
+#include "core/cam.h"
 #include "core/ensemble.h"
 #include "core/inception.h"
 #include "core/localizer.h"
@@ -893,25 +894,34 @@ void ExpectRowsOf(const nn::Tensor& got, const nn::Tensor& want, int64_t b,
 }
 
 // InferRows over every row range [b, e) of a batch of five: those rows
-// of the logits and maps must equal the whole batch's forward bit for
-// bit, with maps and without, and no other row may be written.
+// of the logits, maps and class-1 CAM must equal the whole batch's
+// forward (the CAM: ComputeCamInto over its maps) bit for bit, with maps
+// and without, and no other row may be written.
 void ExpectEveryRowRangeMatches(const core::CamBackbone& model,
                                 int64_t length, Rng* rng) {
   constexpr int64_t kBatch = 5;
   const float sentinel = std::numeric_limits<float>::quiet_NaN();
   const nn::Tensor x = RandomTensor({kBatch, 1, length}, rng);
-  nn::Tensor want_maps;
+  nn::Tensor want_maps, want_cam;
   const nn::Tensor want = model.Infer(x, &want_maps);
+  core::ComputeCamInto(want_maps, model.head_weights(), 1, &want_cam);
   for (int64_t b = 0; b < kBatch; ++b) {
     for (int64_t e = b + 1; e <= kBatch; ++e) {
       SCOPED_TRACE(testing::Message() << "rows [" << b << ", " << e << ")");
       nn::Tensor logits = nn::Tensor::Full(want.shape(), sentinel);
       nn::Tensor maps = nn::Tensor::Full(want_maps.shape(), sentinel);
-      model.InferRows(x, b, e, &logits, &maps);
+      nn::Tensor cam = nn::Tensor::Full(want_cam.shape(), sentinel);
+      model.InferRows(x, b, e, &logits, &maps, &cam);
       ExpectRowsOf(logits, want, b, e, sentinel);
       ExpectRowsOf(maps, want_maps, b, e, sentinel);
+      ExpectRowsOf(cam, want_cam, b, e, sentinel);
       logits.Fill(sentinel);
-      model.InferRows(x, b, e, &logits, nullptr);
+      cam.Fill(sentinel);
+      model.InferRows(x, b, e, &logits, nullptr, &cam);
+      ExpectRowsOf(logits, want, b, e, sentinel);
+      ExpectRowsOf(cam, want_cam, b, e, sentinel);
+      logits.Fill(sentinel);
+      model.InferRows(x, b, e, &logits, nullptr, nullptr);
       ExpectRowsOf(logits, want, b, e, sentinel);
     }
   }
@@ -919,8 +929,9 @@ void ExpectEveryRowRangeMatches(const core::CamBackbone& model,
 
 TEST(BackboneRowsTest, EveryRowRangeEqualsTheBatchedForwardsRows) {
   // InferRows is the one serving entry, and lanes fill disjoint rows of
-  // shared tensors through it. L = 37 leaves partial conv tiles; L = 128
-  // is the served window.
+  // shared tensors through it: the localizer's CAMs come from its CAM
+  // output. L = 37 leaves partial conv tiles; L = 128 is the served
+  // window.
   Rng rng(60);
   for (const auto& [filters, length] :
        {std::pair<int64_t, int64_t>{8, 37}, {16, 128}}) {
@@ -1107,10 +1118,11 @@ TEST(EnsembleInferenceTest, BatchedProbabilityMatchesTrainingPath) {
 TEST(EnsembleInferenceTest, MemberLanesKeepTheBits) {
   // With spare cores the pass runs (member, window) items as parallel
   // lanes, the costliest member's windows first. Each item writes only its
-  // window's rows of its member's logits and maps, and the mean is still
-  // summed in member order, so every spare count (0 included) must
+  // window's rows of its member's logits, maps and CAM, and the mean is
+  // still summed in member order, so every spare count (0 included) must
   // reproduce the members' own whole-batch forwards, averaged in member
-  // order, byte for byte, maps included. The costliest member (k = 15) is
+  // order, byte for byte, maps and CAMs (ComputeCamInto over the maps)
+  // included. The costliest member (k = 15) is
   // registered in the middle, so lanes start members out of member order,
   // and the batches give item counts (3 to 96) the lane count does not
   // always divide.
@@ -1146,11 +1158,14 @@ TEST(EnsembleInferenceTest, MemberLanesKeepTheBits) {
       // The oracle: each member's forward in member order, then the mean
       // class-1 probability summed in that order.
       std::vector<nn::Tensor> want_maps(ensemble.members().size());
+      std::vector<nn::Tensor> want_cams(want_maps.size());
       nn::Tensor want({batch});
       for (size_t m = 0; m < want_maps.size(); ++m) {
-        const nn::Tensor p =
-            nn::Softmax(ensemble.members()[m].model->Infer(x, &want_maps[m]));
+        const core::CamBackbone& model = *ensemble.members()[m].model;
+        const nn::Tensor p = nn::Softmax(model.Infer(x, &want_maps[m]));
         for (int64_t i = 0; i < batch; ++i) want.at(i) += p.at2(i, 1);
+        core::ComputeCamInto(want_maps[m], model.head_weights(), 1,
+                             &want_cams[m]);
       }
       want.ScaleInPlace(1.0f / static_cast<float>(want_maps.size()));
       for (int spare = 0; spare <= 3; ++spare) {
@@ -1164,6 +1179,13 @@ TEST(EnsembleInferenceTest, MemberLanesKeepTheBits) {
         }
         ExpectSameBits(ensemble.DetectProbabilityBatched(x, nullptr, spare),
                        want);
+        std::vector<nn::Tensor> cams;
+        ExpectSameBits(
+            ensemble.DetectProbabilityBatched(x, nullptr, spare, &cams), want);
+        ASSERT_EQ(cams.size(), want_cams.size());
+        for (size_t m = 0; m < cams.size(); ++m) {
+          ExpectSameBits(cams[m], want_cams[m]);
+        }
       }
     }
   }
@@ -1200,9 +1222,11 @@ TEST(EnsembleInferenceTest, LaneItemsTakeTheCostliestMembersWindowsFirst) {
 }
 
 TEST(EnsembleInferenceTest, LocalizeKeepsTheBytesForEverySpare) {
-  // The localizer forms its CAMs from the maps rows the lanes write, so
-  // its whole result must not move with spare. Threshold 0 localizes
-  // every window, so the status depends on every member's maps.
+  // The localizer takes its CAMs from the CAM rows the lanes write, so
+  // its whole result must not move with spare, and its ensemble CAM must
+  // be the one formed from the members' maps (ComputeCamInto, normalized,
+  // averaged). Threshold 0 localizes every window, so the status depends
+  // on every member's CAM.
   Rng rng(85);
   std::vector<core::EnsembleMember> members;
   for (int64_t k : {5, 15, 9}) {
@@ -1226,6 +1250,15 @@ TEST(EnsembleInferenceTest, LocalizeKeepsTheBytesForEverySpare) {
     const nn::Tensor x = RandomTensor({batch, 1, 64}, &rng);
     const core::LocalizationResult want = reference.Localize(x);
     EXPECT_GT(want.status.Sum(), 0.0) << "no timestamp localized";
+    std::vector<nn::Tensor> maps;
+    ensemble.DetectProbabilityBatched(x, &maps);
+    std::vector<nn::Tensor> cams(maps.size());
+    for (size_t m = 0; m < maps.size(); ++m) {
+      core::ComputeCamInto(maps[m], ensemble.members()[m].model->head_weights(),
+                           1, &cams[m]);
+      core::NormalizeCamByMaxInPlace(&cams[m]);
+    }
+    ExpectSameBits(want.ensemble_cam, core::AverageCams(cams));
     for (int spare = 0; spare <= 3; ++spare) {
       SCOPED_TRACE("spare " + std::to_string(spare));
       const core::LocalizationResult got = localizer.Localize(x, spare);

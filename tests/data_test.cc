@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "data/balance.h"
 #include "data/dataset.h"
 #include "data/resample.h"
@@ -16,6 +18,25 @@ TEST(TimeSeriesTest, MissingCount) {
   EXPECT_EQ(s.MissingCount(), 2);
   EXPECT_TRUE(IsMissing(kMissingValue));
   EXPECT_FALSE(IsMissing(0.0f));
+}
+
+TEST(TimeSeriesTest, EveryNonFiniteReadingIsMissing) {
+  // One predicate for "not a finite number": +-Inf is missing like NaN,
+  // and the largest finite readings are not.
+  constexpr float kInf = std::numeric_limits<float>::infinity();
+  EXPECT_TRUE(IsMissing(kInf));
+  EXPECT_TRUE(IsMissing(-kInf));
+  EXPECT_FALSE(IsMissing(std::numeric_limits<float>::max()));
+  EXPECT_FALSE(IsMissing(-1e38f));
+  TimeSeries s;
+  s.interval_seconds = 60.0;
+  s.values = {2.0f, kInf, -kInf, kMissingValue};
+  EXPECT_EQ(s.MissingCount(), 3);
+  auto out = ResampleAverage(s, 120.0);
+  ASSERT_TRUE(out.ok());
+  EXPECT_FLOAT_EQ(out.value().values[0], 2.0f);  // +Inf skipped
+  EXPECT_TRUE(IsMissing(out.value().values[1]));  // none finite
+  EXPECT_FALSE(WindowIsComplete(s.values, 0, 2));
 }
 
 TEST(ResampleTest, AveragesBuckets) {

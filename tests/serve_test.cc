@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sys/mman.h>
+#endif
+
 #include <algorithm>
 #include <atomic>
 #include <cmath>
@@ -20,6 +24,7 @@
 #include "core/inception.h"
 #include "core/localizer.h"
 #include "core/resnet.h"
+#include "data/csv_loader.h"
 #include "data/time_series.h"
 #include "data/window.h"
 #include "serve/batch_runner.h"
@@ -1080,6 +1085,56 @@ TEST(ServiceTest, MalformedRequestsResolveWithStatusNotAborts) {
   valid.appliance = "dishwasher";
   valid.series = data::SeriesView(series);
   EXPECT_TRUE(service.Submit(valid).get().ok());
+}
+
+TEST(ServiceTest, SeriesPastTheReadingBoundIsRejectedUnread) {
+#if !defined(__linux__)
+  GTEST_SKIP() << "needs Linux mmap(MAP_NORESERVE)";
+#else
+  // A series longer than data::kMaxHouseReadings is kInvalidArgument at
+  // admission, before anything copies or reads it. The view sits over a
+  // PROT_NONE mapping one reading past the bound, so any read faults, and
+  // MAP_NORESERVE commits no memory.
+  const int64_t count = data::kMaxHouseReadings + 1;
+  const size_t bytes = static_cast<size_t>(count) * sizeof(float);
+  void* mapping = mmap(nullptr, bytes, PROT_NONE,
+                       MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  ASSERT_NE(mapping, MAP_FAILED);
+  const auto* readings = static_cast<const float*>(mapping);
+  const data::SeriesView view(readings, count);
+
+  core::CamalEnsemble ensemble = RandomEnsemble(23);
+  serve::Service service;
+  ASSERT_TRUE(service
+                  .RegisterAppliance("dishwasher", &ensemble,
+                                     SmallRunner(16, 8, 4, 700.0f))
+                  .ok());
+  ASSERT_TRUE(service.Start().ok());
+  serve::ScanRequest request;
+  request.appliance = "dishwasher";
+  request.series = view;
+  Result<serve::ScanResult> submitted = service.Submit(request).get();
+  EXPECT_EQ(submitted.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(submitted.status().message().find("kMaxHouseReadings"),
+            std::string::npos);
+  auto session = service.CreateSession("dishwasher");
+  ASSERT_TRUE(session.ok());
+  EXPECT_EQ(session.value()->AppendReadings(view).get().status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(
+      session.value()->AppendReadings(readings, count).get().status().code(),
+      StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.stats().rejected_invalid, 3);
+  EXPECT_EQ(service.stats().accepted, 0);
+  EXPECT_EQ(session.value()->readings(), 0);
+
+  // Nothing was admitted, and the session still takes appends.
+  const std::vector<float> delta(24, 500.0f);
+  EXPECT_TRUE(session.value()->AppendReadings(delta).get().ok());
+  EXPECT_EQ(session.value()->readings(), 24);
+  service.Shutdown();
+  ASSERT_EQ(munmap(mapping, bytes), 0);
+#endif
 }
 
 TEST(ServiceTest, EmptySeriesReturnsEmptyResultThroughAsyncPath) {
@@ -2285,10 +2340,9 @@ TEST(BatchRunnerTest, SpareLanesKeepScanBytesOnHostileSeries) {
       const serve::ScanResult want = runner.ScanMany({lone}, 0).front();
       const std::vector<serve::ScanResult> want_pair =
           runner.ScanMany({pair[0], pair[1]}, 0);
-      // ResNet members keep detection and power finite whatever the
-      // readings. Inception members' detection is NaN on windows over a
-      // +-Inf reading, so for them only the bytes are compared.
-      for (int64_t t = 0; resnet && t < want.detection.numel(); ++t) {
+      // Detection and power stay finite whatever the readings: +-Inf is
+      // missing (data::IsMissing), so windows zero-fill it.
+      for (int64_t t = 0; t < want.detection.numel(); ++t) {
         ASSERT_TRUE(std::isfinite(want.detection.at(t))) << label;
         ASSERT_TRUE(std::isfinite(want.power.at(t))) << label;
       }
